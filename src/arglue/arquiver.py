@@ -40,7 +40,6 @@ class _IsoIndex:
 
     def __init__(self, seed=1729):
         self.buckets = {}
-        self.items = []
         self.seed = seed
 
     def find(self, rep):
@@ -51,7 +50,6 @@ class _IsoIndex:
 
     def add(self, rep, payload):
         self.buckets.setdefault(rep.dim_vector(), []).append((rep, payload))
-        self.items.append((rep, payload))
 
 
 def _enumerate(A, cap=4096, dim_cap=None):
@@ -174,13 +172,10 @@ def ar_quiver(A, cap=4096):
             raise EnumerationError("tau image left the enumerated set (bug)")
         tau[node.id] = nodes[j].id
     # irreducible-map multiplicities: dim rad - dim rad^2
-    homs = {}
     hom_bases = {}
     arrows = {}
+    # rad(X,Y) = Hom(X,Y) for nonisomorphic bricks
     homdims = _radical_hom_dims(reps)
-    for (i, j), d in homdims.items():
-        # rad(X,Y) = Hom(X,Y) for nonisomorphic bricks
-        pass
     for (i, j), d in sorted(homdims.items()):
         vecs = []
         for k in range(n):
@@ -261,7 +256,7 @@ def is_representation_directed(A, cap=4096):
                    "cycle_members": [i for i in range(n) if indeg[i] > 0]}
 
 
-def to_dot(ar, labels="dim"):
+def to_dot(ar):
     lines = ["digraph AR {", "  rankdir=LR;"]
     for node in ar.nodes:
         shape = "box" if node.is_projective or node.is_injective else "ellipse"

@@ -98,7 +98,7 @@ class CommandReport:
 def _write_dot(args, ar, report):
     if getattr(args, "dot", None):
         with open(args.dot, "w") as fh:
-            fh.write(arquiver.to_dot(ar, labels=args.labels))
+            fh.write(arquiver.to_dot(ar))
         report.data["artifacts"].append(args.dot)
         print(f"DOT written to {args.dot}")
 
@@ -284,7 +284,7 @@ def _cmd_nakayama(args, report):
         report.verdict("vertices", len(A.quiver.vertices))
         return PASS
     if args.action == "indec":
-        reps = selfglue.uniserial_modules(A)
+        reps = replab.uniserial_modules(A)
         report.attach("indecomposables", _summaries(reps))
         report.verdict("count", len(reps),
                        f"sum of Kupisch entries = {sum(entries)}")
@@ -476,9 +476,6 @@ def _common(p, n=False):
     p.add_argument("--json", help="write the command report here")
     p.add_argument("--dump", help="write module dumps here")
     p.add_argument("--cap", type=int, default=4096)
-    p.add_argument("--ext-cap", dest="ext_cap", type=int, default=32)
-    p.add_argument("--seed", type=int, default=1729)
-    p.add_argument("--jobs", type=int, default=1)
     if n:
         p.add_argument("-n", type=int, default=0)
 
@@ -491,7 +488,6 @@ def build_parser():
     p.add_argument("action", choices=["validate", "indec", "ar"])
     p.add_argument("file")
     p.add_argument("--dot")
-    p.add_argument("--labels", default="dim")
     _common(p)
     p.set_defaults(fn=_cmd_algebra)
 

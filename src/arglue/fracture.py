@@ -52,8 +52,6 @@ def _left_tail_from(A, v):
         # interior chain vertices may receive nothing except the chain arrow
         if len(q.inc[nxt]) != 1:
             return None
-        if arrows and not A.is_relation_free(tuple(arrows) + (a,)):
-            return None
         if not A.is_relation_free(tuple(arrows) + (a,)):
             return None
         arrows.append(a)
@@ -331,7 +329,36 @@ def restrict_fracture(T, P, W):
     return IntervalSet(m, ivs)
 
 
-def compatible_pair(A, fr, W, J, P, I):
+def maximal_above(fr, ab):
+    """The maximal abutment of ``fr``'s algebra on ab's side that contains
+    ab (unique, since overlapping abutment tails nest), or None."""
+    maxima = fr.max_left if ab.side == "left" else fr.max_right
+    return next((W for W in maxima.values() if abutment_leq(ab, W)), None)
+
+
+def compatibility(frA, frB, P, I):
+    """Can a left abutment P of frA's algebra glue onto a right abutment I
+    of frB's?  None if so, otherwise the reason.
+
+    With W >= P and J >= I the maximal abutments, the fracture T_W must
+    have its non-projective part in F_P, T_J its non-injective part in
+    G_I, and the two restricted fractures must agree.
+    """
+    W, J = maximal_above(frA, P), maximal_above(frB, I)
+    if W is None or J is None:
+        return "abutment not under a maximal one"
+    TW, TJ = frA.left[W.anchor], frB.right[J.anchor]
+    if not nonprojective_part_in_sub_triangle(TW, P, W):
+        return "nonprojective part of the left fracture leaves F_P"
+    if not noninjective_part_in_sub_triangle(TJ, I, J):
+        return "noninjective part of the right fracture leaves G_I"
+    TP, TI = restrict_fracture(TW, P, W), restrict_fracture(TJ, I, J)
+    if TP != TI:
+        return f"restricted fractures differ: {TP} vs {TI}"
+    return None
+
+
+def compatible_pair(fr, W, J, P, I):
     """Self-gluing compatibility of (P <= W, I <= J); (verdict, reason)."""
     if not (W.side == "left" and W.maximal):
         return False, "W is not a maximal left abutment"
@@ -341,16 +368,5 @@ def compatible_pair(A, fr, W, J, P, I):
         return False, "P is not a sub-abutment of W"
     if not abutment_leq(I, J):
         return False, "I is not a sub-abutment of J"
-    TW = fr.left[W.anchor]
-    TJ = fr.right[J.anchor]
-    if not nonprojective_part_in_sub_triangle(TW, P, W):
-        return False, "nonprojective part of the left fracture leaves F_P"
-    if not noninjective_part_in_sub_triangle(TJ, I, J):
-        return False, "noninjective part of the right fracture leaves G_I"
-    if P.height != I.height:
-        return False, "heights of P and I differ"
-    TP = restrict_fracture(TW, P, W)
-    TI = restrict_fracture(TJ, I, J)
-    if TP != TI:
-        return False, (f"restricted fractures differ: {TP} vs {TI}")
-    return True, "compatible"
+    why = compatibility(fr, fr, P, I)
+    return why is None, why or "compatible"

@@ -33,13 +33,6 @@ class GluedAlgebra:
         self.spec = spec
 
 
-def _fresh(name, taken, suffix):
-    candidate = name
-    while candidate in taken:
-        candidate = candidate + suffix
-    return candidate
-
-
 def _tail_arrows(A, tail):
     out = []
     for s, t in zip(tail, tail[1:]):
@@ -50,55 +43,70 @@ def _tail_arrows(A, tail):
     return out
 
 
+def identify_seams(A, B, seams):
+    """Identify abutment tails of A with tails of B and kill the paths
+    that cross each seam; ``B=None`` glues A to itself.
+
+    ``seams`` lists (dropped, kept) pairs of opposite sides: the tail of
+    ``dropped``, an abutment of A, and its arrow chain are mapped onto the
+    tail of ``kept``, an abutment of B (of A when B is None).  Tails within
+    one algebra must be disjoint.  B-side names win; A's other vertices
+    and arrows get an ``@A`` suffix where B already uses the name.
+    """
+    K = A if B is None else B   # the algebra whose tails are kept
+    vertices = [] if B is None else list(B.quiver.vertices)
+    arrows = [] if B is None else list(B.quiver.arrows)
+    relations = [] if B is None else [tuple(r) for r in B.relations]
+    vmapA, amapA, chains = {}, {}, []
+    for dropped, kept in seams:
+        chain = _tail_arrows(K, kept.tail)
+        chains.append(chain)
+        vmapA.update(zip(dropped.tail, kept.tail))
+        amapA.update(zip(_tail_arrows(A, dropped.tail), chain))
+    dropped_v, dropped_a = set(vmapA), set(amapA)
+
+    def fresh(name, taken):
+        while name in taken:
+            name += "@A"
+        taken.add(name)
+        return name
+
+    taken_v, taken_a = set(vertices), {a for a, _, _ in arrows}
+    for v in A.quiver.vertices:
+        if v not in dropped_v:
+            vmapA[v] = fresh(v, taken_v)
+    for a, _, _ in A.quiver.arrows:
+        if a not in dropped_a:
+            amapA[a] = fresh(a, taken_a)
+    vertices += [vmapA[v] for v in A.quiver.vertices if v not in dropped_v]
+    arrows += [(amapA[a], vmapA[s], vmapA[t])
+               for a, s, t in A.quiver.arrows if a not in dropped_a]
+    relations += [tuple(amapA[a] for a in r) for r in A.relations]
+    # kill every path that enters P's first vertex from P's side, runs
+    # along the kept chain and leaves I's last vertex on I's side (with
+    # disjoint tails, no chain arrow enters a first or leaves a last one)
+    for (dropped, kept), chain in zip(seams, chains):
+        if dropped.side == "left":
+            (P, on_P), (I, on_I) = (dropped, A), (kept, K)
+        else:
+            (P, on_P), (I, on_I) = (kept, K), (dropped, A)
+        entries = [amapA[a] if on_P is A else a
+                   for a in on_P.quiver.inc[P.tail[0]]]
+        exits = [amapA[a] if on_I is A else a
+                 for a in on_I.quiver.out[I.tail[-1]]]
+        relations += [(g_in,) + tuple(chain) + (g_out,)
+                      for g_in in entries for g_out in exits]
+    vmapB = {} if B is None else {v: v for v in B.quiver.vertices}
+    amapB = {} if B is None else {a: a for a, _, _ in B.quiver.arrows}
+    pres = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
+    return GluedAlgebra(pres, vmapA, vmapB, amapA, amapB)
+
+
 def glue(spec):
     """The glued presentation; B-side names win on the identified tail."""
-    A, P, B, I = spec.A, spec.P, spec.B, spec.I
-    h = P.height
-    ptail, itail = P.tail, I.tail
-    alpha = _tail_arrows(A, ptail)
-    beta = _tail_arrows(B, itail)
-
-    vmapB = {v: v for v in B.quiver.vertices}
-    amapB = {a: a for a, _, _ in B.quiver.arrows}
-    vmapA = {}
-    taken_v = set(B.quiver.vertices)
-    for k, p in enumerate(ptail):
-        vmapA[p] = itail[k]
-    for v in A.quiver.vertices:
-        if v in vmapA:
-            continue
-        name = _fresh(v, taken_v, "@A")
-        vmapA[v] = name
-        taken_v.add(name)
-    amapA = {}
-    taken_a = set(amapB)
-    for k, a in enumerate(alpha):
-        amapA[a] = beta[k]
-    for a, _, _ in A.quiver.arrows:
-        if a in amapA:
-            continue
-        name = _fresh(a, taken_a, "@A")
-        amapA[a] = name
-        taken_a.add(name)
-
-    vertices = list(B.quiver.vertices) + [
-        vmapA[v] for v in A.quiver.vertices if v not in set(ptail)]
-    arrows = list(B.quiver.arrows) + [
-        (amapA[a], vmapA[s], vmapA[t])
-        for a, s, t in A.quiver.arrows if a not in set(alpha)]
-    relations = [tuple(r) for r in B.relations]
-    relations += [tuple(amapA[a] for a in r) for r in A.relations]
-    # kill every path crossing from the A-only region to the B-only region
-    tail_path = tuple(beta)
-    entries = [a for a, s, t in A.quiver.arrows
-               if t == ptail[0] and a not in set(alpha)]
-    exits = [a for a, s, t in B.quiver.arrows
-             if s == itail[-1] and a not in set(beta)]
-    for g_in in entries:
-        for g_out in exits:
-            relations.append((amapA[g_in],) + tail_path + (g_out,))
-    pres = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
-    return GluedAlgebra(pres, vmapA, vmapB, amapA, amapB, spec)
+    glued = identify_seams(spec.A, spec.B, [(spec.P, spec.I)])
+    glued.spec = spec
+    return glued
 
 
 def push_forward(M, glued, side):
@@ -200,62 +208,37 @@ def ar_isomorphic(ar1, ar2):
 
 # -- glued fracturings ---------------------------------------------------
 
-def _transport_fracture(L, ab, glued, frA, frB):
+def _transport_fracture(ab, glued, frA, frB):
     """Fracture for an abutment of the glued algebra, pulled back."""
-    invB = {w: v for v, w in glued.vertex_map_B.items()}
-    invA = {w: v for v, w in glued.vertex_map_A.items()}
-    for inv, alg, fr in ((invB, glued.spec.B, frB), (invA, glued.spec.A, frA)):
+    for vmap, fr in ((glued.vertex_map_B, frB), (glued.vertex_map_A, frA)):
+        inv = {w: v for v, w in vmap.items()}
         if not all(w in inv for w in ab.tail):
             continue
         tail = [inv[w] for w in ab.tail]
-        source = fr.left if ab.side == "left" else fr.right
-        maxima = fr.max_left if ab.side == "left" else fr.max_right
         candidate = fx.Abutment(ab.side, tail[0] if ab.side == "left"
                                 else tail[-1], tail)
-        for anchor, W in maxima.items():
-            if fx.abutment_leq(candidate, W):
-                try:
-                    fx._tail_position(candidate, W)
-                except AlgebraError:
-                    continue
-                return fx.restrict_fracture(source[anchor], candidate, W)
+        W = fx.maximal_above(fr, candidate)
+        if W is None:
+            continue
+        source = fr.left if ab.side == "left" else fr.right
+        try:
+            return fx.restrict_fracture(source[W.anchor], candidate, W)
+        except AlgebraError:  # candidate is not a sub-tail of W
+            continue
     raise AlgebraError(
         f"cannot transport a fracture onto glued abutment {ab}")
 
 
 def glue_fracturings(frA, frB, glued):
     """Fracturing of the glued algebra (B-side data wins on the seam)."""
-    spec = glued.spec
-    WA = next((W for W in frA.max_left.values()
-               if fx.abutment_leq(spec.P, W)), None)
-    JB = next((J for J in frB.max_right.values()
-               if fx.abutment_leq(spec.I, J)), None)
-    if WA is None or JB is None:
-        raise AlgebraError("abutments of the gluing are not under maximal ones")
-    TW = frA.left[WA.anchor]
-    TJ = frB.right[JB.anchor]
-    if not fx.nonprojective_part_in_sub_triangle(TW, spec.P, WA):
-        raise AlgebraError(
-            "compatibility fails: nonprojective part of the left fracture "
-            "does not lie in the sub-triangle of P")
-    if not fx.noninjective_part_in_sub_triangle(TJ, spec.I, JB):
-        raise AlgebraError(
-            "compatibility fails: noninjective part of the right fracture "
-            "does not lie in the sub-triangle of I")
-    TP = fx.restrict_fracture(TW, spec.P, WA)
-    TI = fx.restrict_fracture(TJ, spec.I, JB)
-    if TP != TI:
-        raise AlgebraError(
-            f"compatibility fails: restricted fractures differ ({TP} vs {TI})")
+    why = fx.compatibility(frA, frB, glued.spec.P, glued.spec.I)
+    if why is not None:
+        raise AlgebraError(f"compatibility fails: {why}")
     L = glued.presentation
-    left = {}
-    for ab in fx.abutments(L, "left"):
-        if ab.maximal:
-            left[ab.anchor] = _transport_fracture(L, ab, glued, frA, frB)
-    right = {}
-    for ab in fx.abutments(L, "right"):
-        if ab.maximal:
-            right[ab.anchor] = _transport_fracture(L, ab, glued, frA, frB)
+    left = {ab.anchor: _transport_fracture(ab, glued, frA, frB)
+            for ab in fx.abutments(L, "left") if ab.maximal}
+    right = {ab.anchor: _transport_fracture(ab, glued, frA, frB)
+             for ab in fx.abutments(L, "right") if ab.maximal}
     return fx.Fracturing(L, left, right)
 
 
@@ -266,12 +249,11 @@ class GluingSystemSpec:
     (I_e in the source algebra, P_e in the target algebra) on arrows."""
 
     def __init__(self, tree_vertices, tree_arrows, algebras,
-                 fracturings=None, subcategories=None):
+                 fracturings=None):
         self.tree_vertices = list(tree_vertices)
         self.tree_arrows = list(tree_arrows)  # (u, v, I_anchor, P_anchor)
         self.algebras = dict(algebras)
         self.fracturings = dict(fracturings or {})
-        self.subcategories = dict(subcategories or {})
         self._validate()
 
     def _validate(self):
@@ -419,30 +401,18 @@ def push_forward_system(M, tv, L, vmaps, amaps):
     return replab.Representation(L, dims, mats, check=False)
 
 
-def glue_fractured_system(sys, n, candidates=None):
+def glue_fractured_system(sys, n):
     """Glue a fully fracturing-decorated system; returns
     (presentation, maps, candidate module list, complete flag)."""
     from . import verifier
     for tv in sys.tree_vertices:
         if tv not in sys.fracturings:
             raise AlgebraError(f"tree vertex {tv} lacks a fracturing")
-    # per-edge compatibility
     for u, v, _, _ in sys.tree_arrows:
         I, P = sys.edge_data[(u, v)]
-        frB, frA = sys.fracturings[u], sys.fracturings[v]
-        J = next((J for J in frB.max_right.values()
-                  if fx.abutment_leq(I, J)), None)
-        W = next((W for W in frA.max_left.values()
-                  if fx.abutment_leq(P, W)), None)
-        if J is None or W is None:
-            raise AlgebraError(f"edge {u}->{v}: abutment not under a maximal one")
-        if not fx.nonprojective_part_in_sub_triangle(frA.left[W.anchor], P, W):
-            raise AlgebraError(f"edge {u}->{v}: left fracture leaves F_P")
-        if not fx.noninjective_part_in_sub_triangle(frB.right[J.anchor], I, J):
-            raise AlgebraError(f"edge {u}->{v}: right fracture leaves G_I")
-        if (fx.restrict_fracture(frA.left[W.anchor], P, W)
-                != fx.restrict_fracture(frB.right[J.anchor], I, J)):
-            raise AlgebraError(f"edge {u}->{v}: restricted fractures differ")
+        why = fx.compatibility(sys.fracturings[v], sys.fracturings[u], P, I)
+        if why is not None:
+            raise AlgebraError(f"edge {u}->{v}: {why}")
     # completeness: non-injective right fractures must feed an outgoing edge,
     # non-projective left fractures an incoming one
     complete = True
@@ -461,16 +431,6 @@ def glue_fractured_system(sys, n, candidates=None):
     L, vmaps, amaps = glue_system(sys)
     mods = []
     for tv in sys.tree_vertices:
-        local = sys.subcategories.get(tv)
-        if local is None:
-            local = verifier.tau_orbit_candidate(sys.algebras[tv], n)
-        for M in local:
+        for M in verifier.tau_orbit_candidate(sys.algebras[tv], n).modules:
             mods.append(push_forward_system(M, tv, L, vmaps, amaps))
-    # iso-dedupe
-    index = arquiver._IsoIndex()
-    out = []
-    for M in mods:
-        if index.find(M) is None:
-            index.add(M, True)
-            out.append(M)
-    return L, (vmaps, amaps), out, complete
+    return L, (vmaps, amaps), verifier.Subcategory(L, mods).modules, complete

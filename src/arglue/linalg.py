@@ -65,18 +65,6 @@ def transpose(a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
-def hstack(mats):
-    mats = [m for m in mats if shape(m)[1] > 0 or True]
-    rows = max((len(m) for m in mats), default=0)
-    out = []
-    for i in range(rows):
-        row = []
-        for m in mats:
-            row.extend(m[i] if i < len(m) else [])
-        out.append(row)
-    return out
-
-
 def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 

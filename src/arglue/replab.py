@@ -458,7 +458,9 @@ class Resolution:
                 pathmat.append(entry)
             P, gens2, K2, E2 = cover_data(K)
             # cover_data recomputes generators; order matches top_generators
-            assert gens2 == gens
+            if gens2 != gens:
+                raise RuntimeError(
+                    "cover generators differ from the top generators (bug)")
             self.levels.append(([v for v, _ in gens], pathmat))
             self._state = (K2, E2, P)
 

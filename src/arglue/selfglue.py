@@ -9,9 +9,8 @@ deduplicating modulo the deck shift.
 
 from . import arquiver, linalg, replab, verifier
 from . import fracture as fx
-from .core import (AlgebraError, BoundQuiverPresentation, KupischSeries,
-                   Quiver, kupisch_of)
-from .gluing import GluingSystemSpec, _tail_arrows, glue_system
+from .core import AlgebraError, BoundQuiverPresentation, Quiver, kupisch_of
+from .gluing import GluingSystemSpec, glue_system, identify_seams
 
 
 class SelfGlueWitness:
@@ -69,7 +68,7 @@ def self_glue_witness(A, fr):
                 for I in _sub_right(J):
                     if P.height != I.height:
                         continue
-                    ok, why = fx.compatible_pair(A, fr, W, J, P, I)
+                    ok, why = fx.compatible_pair(fr, W, J, P, I)
                     if ok:
                         return SelfGlueWitness(W, J, P, I), []
                     reasons.append(
@@ -131,7 +130,7 @@ def _tilde_chain(A, witness):
     if m < 1:
         raise AlgebraError("seam height leaves no vertex to fold onto")
     pos = {v: j for j, v in enumerate(order)}
-    chain = _tail_arrows(A, order)             # arrows a_0 .. a_{k-2}
+    chain = [A.quiver.out[v][0] for v in order[:-1]]  # a_0 .. a_{k-2}
     vmap = {v: order[pos[v] % m] for v in order}
     amap = {a: chain[j % m] for j, a in enumerate(chain)}
     rank = {v: pos[v] // m for v in order}
@@ -148,34 +147,12 @@ def _tilde_chain(A, witness):
 
 def tilde(A, witness):
     """Fold A by identifying the P-tail with the I-tail of the witness."""
-    ptail, itail = witness.P.tail, witness.I.tail
-    if set(ptail) & set(itail):
+    if set(witness.P.tail) & set(witness.I.tail):
         return _tilde_chain(A, witness)
-    alpha = _tail_arrows(A, ptail)
-    beta = _tail_arrows(A, itail)
-    vmap = {p: itail[k] for k, p in enumerate(ptail)}
-    rank = {}
-    for v in A.quiver.vertices:
-        rank[v] = 1 if v in vmap else 0
-        vmap.setdefault(v, v)
-    amap = {a: beta[k] for k, a in enumerate(alpha)}
-    for a, _, _ in A.quiver.arrows:
-        amap.setdefault(a, a)
-    dropped_v, dropped_a = set(ptail), set(alpha)
-    vertices = [v for v in A.quiver.vertices if v not in dropped_v]
-    arrows = [(a, vmap[s], vmap[t])
-              for a, s, t in A.quiver.arrows if a not in dropped_a]
-    relations = [tuple(amap[x] for x in r) for r in A.relations]
-    # kill every path crossing the new seam
-    entries = [a for a, s, t in A.quiver.arrows
-               if t == ptail[0] and a not in dropped_a]
-    exits = [a for a, s, t in A.quiver.arrows
-             if s == itail[-1] and a not in set(beta)]
-    for g_in in entries:
-        for g_out in exits:
-            relations.append((amap[g_in],) + tuple(beta) + (g_out,))
-    pres = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
-    return SelfGlued(A, witness, pres, vmap, amap, rank)
+    glued = identify_seams(A, None, [(witness.P, witness.I)])
+    rank = {v: int(v in witness.P.tail) for v in A.quiver.vertices}
+    return SelfGlued(A, witness, glued.presentation, glued.vertex_map_A,
+                     glued.arrow_map_A, rank)
 
 
 # -- module push-downs ---------------------------------------------------
@@ -280,10 +257,6 @@ def _push_down_window(M, win, sg):
     return _assemble(L, pieces_v, pieces_a)
 
 
-uniserial_modules = replab.uniserial_modules
-_uniserial = replab._uniserial
-
-
 def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
     """Indecomposables of the fold, enumerated through cover windows.
 
@@ -296,7 +269,7 @@ def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
         sg = tilde(A, witness)
     try:
         kupisch_of(sg.presentation)
-        return uniserial_modules(sg.presentation)
+        return replab.uniserial_modules(sg.presentation)
     except AlgebraError:
         pass
     previous = None
@@ -355,84 +328,44 @@ def simultaneous_glue(A, B, pairs, mode="parallel"):
     paired with I in A runs the other way).  B-side names win.  Returns
     the same journal structure as :func:`arglue.gluing.glue`.
     """
-    from .gluing import GluedAlgebra, _fresh
     if mode not in ("parallel", "antiparallel"):
         raise AlgebraError("mode must be 'parallel' or 'antiparallel'")
     la, ra = fx.abutments(A, "left"), fx.abutments(A, "right")
     lb, rb = fx.abutments(B, "left"), fx.abutments(B, "right")
-    seams = []   # (a_tail, b_tail, direction) with direction 'AB' | 'BA'
+    seams = []   # (abutment of A dropped, abutment of B kept)
     for P, I in pairs:
         if P.side != "left" or I.side != "right":
             raise AlgebraError("each pair needs a left and a right abutment")
         if P.height != I.height:
             raise AlgebraError("paired abutments have different heights")
-        if any(ab == P for ab in la) and any(ab == I for ab in rb):
-            seams.append((P.tail, I.tail, "AB"))
-        elif any(ab == P for ab in lb) and any(ab == I for ab in ra):
-            seams.append((I.tail, P.tail, "BA"))
+        # abutments compare by side and tail, so shared vertex names can
+        # make one pair read both ways
+        ab, ba = P in la and I in rb, P in lb and I in ra
+        if ab and ba:
+            raise AlgebraError(
+                f"pair (P={P.tail}, I={I.tail}) fits both (left of A, right "
+                "of B) and (left of B, right of A); rename the vertices of "
+                "one algebra")
+        if ab:
+            seams.append((P, I))
+        elif ba:
+            seams.append((I, P))
         else:
             raise AlgebraError(
                 "pair is neither (left of A, right of B) nor "
                 "(left of B, right of A)")
-    dirs = {d for _, _, d in seams}
-    if mode == "parallel" and dirs != {"AB"}:
+    dirs = {dropped.side for dropped, _ in seams}
+    if mode == "parallel" and dirs != {"left"}:
         raise AlgebraError("parallel mode needs every seam to run A -> B")
-    if mode == "antiparallel" and dirs != {"AB", "BA"}:
+    if mode == "antiparallel" and dirs != {"left", "right"}:
         raise AlgebraError("antiparallel mode needs seams in both directions")
-    a_tails = [t for t, _, _ in seams]
-    b_tails = [t for _, t, _ in seams]
-    if not fx.independent([fx.Abutment("left", t[0], t) for t in a_tails]):
+
+    def overlap(tails):
+        return not fx.independent([fx.Abutment("left", t[0], t)
+                                   for t in tails])
+
+    if overlap([dropped.tail for dropped, _ in seams]):
         raise AlgebraError("seam tails in the first algebra overlap")
-    if not fx.independent([fx.Abutment("left", t[0], t) for t in b_tails]):
+    if overlap([kept.tail for _, kept in seams]):
         raise AlgebraError("seam tails in the second algebra overlap")
-
-    vmapB = {v: v for v in B.quiver.vertices}
-    amapB = {a: a for a, _, _ in B.quiver.arrows}
-    vmapA, amapA = {}, {}
-    seam_arrows = []  # (a_chain, b_chain, direction)
-    for a_tail, b_tail, d in seams:
-        a_chain = _tail_arrows(A, a_tail)
-        b_chain = _tail_arrows(B, b_tail)
-        seam_arrows.append((a_chain, b_chain, d))
-        for av, bv in zip(a_tail, b_tail):
-            vmapA[av] = bv
-        for aa, ba in zip(a_chain, b_chain):
-            amapA[aa] = ba
-    taken_v = set(B.quiver.vertices)
-    for v in A.quiver.vertices:
-        if v not in vmapA:
-            name = _fresh(v, taken_v, "@A")
-            vmapA[v] = name
-            taken_v.add(name)
-    taken_a = set(amapB)
-    for a, _, _ in A.quiver.arrows:
-        if a not in amapA:
-            name = _fresh(a, taken_a, "@A")
-            amapA[a] = name
-            taken_a.add(name)
-
-    drop_v = {v for t in a_tails for v in t}
-    drop_a = {a for ch, _, _ in seam_arrows for a in ch}
-    vertices = list(B.quiver.vertices) + [
-        vmapA[v] for v in A.quiver.vertices if v not in drop_v]
-    arrows = list(B.quiver.arrows) + [
-        (amapA[a], vmapA[s], vmapA[t])
-        for a, s, t in A.quiver.arrows if a not in drop_a]
-    relations = [tuple(r) for r in B.relations]
-    relations += [tuple(amapA[a] for a in r) for r in A.relations]
-    for (a_tail, b_tail, d), (a_chain, b_chain, _) in zip(seams, seam_arrows):
-        if d == "AB":
-            entries = [amapA[a] for a, s, t in A.quiver.arrows
-                       if t == a_tail[0] and a not in drop_a]
-            exits = [a for a, s, t in B.quiver.arrows
-                     if s == b_tail[-1] and a not in set(b_chain)]
-        else:
-            entries = [a for a, s, t in B.quiver.arrows
-                       if t == b_tail[0] and a not in set(b_chain)]
-            exits = [amapA[a] for a, s, t in A.quiver.arrows
-                     if s == a_tail[-1] and a not in drop_a]
-        for g_in in entries:
-            for g_out in exits:
-                relations.append((g_in,) + tuple(b_chain) + (g_out,))
-    pres = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
-    return GluedAlgebra(pres, vmapA, vmapB, amapA, amapB, spec=None)
+    return identify_seams(A, B, seams)

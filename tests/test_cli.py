@@ -122,6 +122,24 @@ def test_glue_system(tmp_path):
     assert report.data["verdicts"]["vertices"] == 4
 
 
+def test_glue_system_with_fracturings(tmp_path):
+    spec = {"tree": {"vertices": ["x", "y"],
+                     "arrows": [{"from": "x", "to": "y",
+                                 "I": "1", "P": "3"}]},
+            "algebras": {"x": {"kupisch": [2, 2, 1]},
+                         "y": {"kupisch": [2, 2, 1]}},
+            "fracturings": {"x": {"left": {"2": [[1, 2], [2, 2]]},
+                                  "right": {"2": [[1, 1], [1, 2]]}},
+                            "y": {"left": {"2": [[1, 2], [2, 2]]},
+                                  "right": {"2": [[1, 1], [1, 2]]}}}}
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(spec))
+    code, report = run(["glue", "system", str(f), "-n", "2"])
+    assert code == 0
+    assert report.data["verdicts"] == {"complete": True, "vertices": 5,
+                                       "verdict": True}
+
+
 def test_glue_system_bad_anchor(tmp_path):
     spec = {"tree": {"vertices": ["x", "y"],
                      "arrows": [{"from": "x", "to": "y",

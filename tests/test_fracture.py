@@ -123,5 +123,5 @@ def test_compatible_pair(A):
     I = right_ab(A, "1")  # height 1, simple injective at the source
     W = left_ab(A, "2")
     J = right_ab(A, "2")
-    ok, reason = fx.compatible_pair(A, fr, W, J, P, I)
+    ok, reason = fx.compatible_pair(fr, W, J, P, I)
     assert ok, reason

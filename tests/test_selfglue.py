@@ -3,13 +3,13 @@ import pytest
 from arglue import arquiver
 from arglue import fracture as fx
 from arglue import replab
-from arglue.core import (AlgebraError, KupischSeries, kupisch_of, nakayama,
-                         starlike)
+from arglue.core import (AlgebraError, KupischSeries, kupisch_of, linear_a,
+                         nakayama, rename_presentation, starlike)
 from arglue.gluing import GluingSpec, glue
+from arglue.replab import uniserial_modules
 from arglue.selfglue import (SelfGlueWitness, cover_window,
                              orbit_indecomposables, self_glue_witness,
-                             simultaneous_glue, tilde, tilde_nct,
-                             uniserial_modules)
+                             simultaneous_glue, tilde, tilde_nct)
 from arglue.verifier import Subcategory, check_fractured, tau_orbit_candidate
 from conftest import branched_ten, chain_four, fold_fixture, left_ab, right_ab
 
@@ -164,3 +164,24 @@ def test_simultaneous_mode_validation():
              for a in ("4_1", "4_2")]
     with pytest.raises(AlgebraError, match="both directions"):
         simultaneous_glue(SA, SB, pairs, mode="antiparallel")
+
+
+def test_simultaneous_rejects_pair_matching_both_orientations():
+    A, B = linear_a(4), linear_a(4)
+    pairs = [(left_ab(A, "4"), right_ab(B, "1")),
+             (left_ab(B, "4"), right_ab(A, "1"))]
+    with pytest.raises(AlgebraError, match="rename the vertices"):
+        simultaneous_glue(A, B, pairs, mode="antiparallel")
+
+
+def test_simultaneous_antiparallel_closes_a_cycle():
+    A = linear_a(4)
+    B = rename_presentation(
+        linear_a(4), {str(i): f"y{i}" for i in range(1, 5)},
+        {f"a{i}": f"ba{i}" for i in range(1, 4)})
+    pairs = [(left_ab(A, "4"), right_ab(B, "y1")),
+             (left_ab(B, "y4"), right_ab(A, "1"))]
+    D = simultaneous_glue(A, B, pairs, mode="antiparallel").presentation
+    assert D.quiver.vertices == ["y1", "y2", "y3", "y4", "2", "3"]
+    assert D.relations == {("ba3", "a1"), ("a3", "ba1")}
+    assert len(uniserial_modules(D)) == 18
