@@ -61,8 +61,7 @@ def scale(a, c):
 
 
 def transpose(a):
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
+    return [list(col) for col in zip(*a)]
 
 
 def is_zero_matrix(a):
@@ -83,12 +82,16 @@ def _row_echelon(a):
         if piv is None:
             continue
         a[prow], a[piv] = a[piv], a[prow]
-        inv = ONE / a[prow][col]
-        a[prow] = [x * inv for x in a[prow]]
+        lead = a[prow][col]
+        if lead != 1:
+            inv = ONE / lead
+            a[prow] = [x * inv if x else x for x in a[prow]]
+        prow_vals = a[prow]
         for i in range(r):
             if i != prow and a[i][col]:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[prow])]
+                a[i] = [x - f * y if y else x
+                        for x, y in zip(a[i], prow_vals)]
         pivots.append(col)
         prow += 1
         if prow == r:
@@ -135,11 +138,6 @@ def columns_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def matrix_to_columns(a):
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
-
-
 def solve(a, b):
     """Solve a X = b for the matrix X; returns None if inconsistent."""
     r, ca = shape(a)
@@ -175,7 +173,7 @@ def column_space_basis(a):
     """Indices of a maximal independent subset of columns, plus those columns."""
     r, c = shape(a)
     m, pivots = rref(a)
-    cols = matrix_to_columns(a)
+    cols = transpose(a)
     return pivots, [cols[p] for p in pivots]
 
 

@@ -134,8 +134,29 @@ def _paths_rep(A, basis_by_vertex, step):
     return Representation(A, dim, mats, check=False)
 
 
+def _memo(A, key, build):
+    """build(), computed once per algebra A and key: for pieces that depend
+    on A alone and that no caller mutates (modules are never changed after
+    construction; their caches only fill)."""
+    memo = getattr(A, "_memo", None)
+    if memo is None:
+        memo = A._memo = {}
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def projective(A, v):
     """P(v): basis = relation-free paths starting at v; arrows append."""
+    return _memo(A, ("P", v), lambda: _projective(A, v))
+
+
+def injective(A, v):
+    """I(v): basis = relation-free paths ending at v; arrows strip in front."""
+    return _memo(A, ("I", v), lambda: _injective(A, v))
+
+
+def _projective(A, v):
     basis = {}
     for p in A.paths_from(v):
         basis.setdefault(A.path_target(p, v), []).append(p)
@@ -148,8 +169,7 @@ def projective(A, v):
     return _paths_rep(A, basis, step)
 
 
-def injective(A, v):
-    """I(v): basis = relation-free paths ending at v; arrows strip in front."""
+def _injective(A, v):
     basis = {}
     for s, t, p in A.all_paths():
         if t == v:
@@ -317,8 +337,11 @@ def radical_columns(M):
     out = {}
     for v in M.algebra.quiver.vertices:
         cols = []
+        if M.dim[v] == 0:
+            out[v] = cols
+            continue
         for a in M.algebra.quiver.inc[v]:
-            cols.extend(linalg.matrix_to_columns(M.mats[a]))
+            cols.extend(linalg.transpose(M.mats[a]))
         if cols:
             _, basis = linalg.column_space_basis(
                 linalg.columns_to_matrix(cols, M.dim[v]))
@@ -365,6 +388,25 @@ class LabeledProjective:
         self.rep = Representation(A, dim, mats, check=False)
 
 
+# labeled projectives kept per algebra before the store starts afresh
+_LP_MEMO_SIZE = 64
+
+
+def _labeled_projective(A, blocks):
+    """LabeledProjective(A, blocks), shared between covers of different
+    modules with the same block list.  The store is emptied when full:
+    deep resolutions over cyclic algebras meet ever new block lists, and
+    their labeled projectives are large."""
+    blocks = tuple(blocks)
+    store = getattr(A, "_lp_memo", None)
+    if store is None or len(store) >= _LP_MEMO_SIZE:
+        store = A._lp_memo = {}
+    P = store.get(blocks)
+    if P is None:
+        P = store[blocks] = LabeledProjective(A, blocks)
+    return P
+
+
 def cover_data(M):
     """Minimal projective cover of M with labels, plus the kernel.
 
@@ -374,28 +416,25 @@ def cover_data(M):
     """
     A = M.algebra
     gens = top_generators(M)
-    P = LabeledProjective(A, [v for v, _ in gens])
-    # cover map per vertex
-    pi = {}
-    for x in A.quiver.vertices:
-        m = linalg.zeros(M.dim[x], P.rep.dim[x])
-        for col, (j, p) in enumerate(P.basis[x]):
-            w, idx = gens[j]
-            vec_matrix = M.act(p, w)  # M_w -> M_x
-            for i in range(M.dim[x]):
-                if vec_matrix[i][idx]:
-                    m[i][col] = vec_matrix[i][idx]
-        pi[x] = m
-    # kernel
+    P = _labeled_projective(A, [v for v, _ in gens])
+    # kernel of the cover map, vertex by vertex
     E = {}
     kdim = {}
     for x in A.quiver.vertices:
         if P.rep.dim[x] == 0:
             cols = []
         elif M.dim[x] == 0:
-            cols = linalg.matrix_to_columns(linalg.identity(P.rep.dim[x]))
+            cols = linalg.transpose(linalg.identity(P.rep.dim[x]))
         else:
-            cols = linalg.nullspace(pi[x])
+            # cover map at x: labeled path (j, p) goes to p times generator j
+            pi = linalg.zeros(M.dim[x], P.rep.dim[x])
+            for col, (j, p) in enumerate(P.basis[x]):
+                w, idx = gens[j]
+                vec_matrix = M.act(p, w)  # M_w -> M_x
+                for i in range(M.dim[x]):
+                    if vec_matrix[i][idx]:
+                        pi[i][col] = vec_matrix[i][idx]
+            cols = linalg.nullspace(pi)
         E[x] = linalg.columns_to_matrix(cols, P.rep.dim[x])
         kdim[x] = len(cols)
     kmats = {}
@@ -550,15 +589,17 @@ def _syzygy_once(M):
 def syzygy(M, direction, steps):
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cur = M
+    if steps == 0:
+        return M
+    if direction == "+":
+        cur = M
+    elif direction == "-":
+        cur = dual(M)  # the cosyzygy is D Omega D; the inner D D cancel
+    else:
+        raise ValueError("direction must be '+' or '-'")
     for _ in range(steps):
-        if direction == "+":
-            cur = _syzygy_once(cur)
-        elif direction == "-":
-            cur = dual(_syzygy_once(dual(cur)))
-        else:
-            raise ValueError("direction must be '+' or '-'")
-    return cur
+        cur = _syzygy_once(cur)
+    return cur if direction == "+" else dual(cur)
 
 
 # -- transpose and AR translation ---------------------------------------
@@ -575,7 +616,7 @@ def transpose_module(M):
     if len(res.levels) < 2:
         return zero_rep(B)  # projective module
     blocks1, pathmat = res.levels[1]
-    Q = LabeledProjective(B, blocks1)
+    Q = _labeled_projective(B, blocks1)
     # generator images of g: (+)P^op(w_i) -> Q, e_{w_i} -> sum c * (j, rev p)
     gen_vecs = []
     for i, w in enumerate(blocks0):
@@ -586,7 +627,7 @@ def transpose_module(M):
                     vec[Q.index[w][(j, tuple(reversed(p)))]] += c
         gen_vecs.append((w, vec))
     # full matrices of g per vertex: domain basis = (i, q) op-paths from w_i
-    D = LabeledProjective(B, blocks0)
+    D = _labeled_projective(B, blocks0)
     g = {}
     for x in B.quiver.vertices:
         m = linalg.zeros(Q.rep.dim[x], D.rep.dim[x])
@@ -639,6 +680,9 @@ def ar_translate(M, direction):
 def tau_n(M, n, direction):
     if n < 1:
         raise ValueError("n must be >= 1")
+    if direction == "-":
+        # Tr D (D Omega^(n-1) D M), with the middle D D cancelled
+        return transpose_module(syzygy(dual(M), "+", n - 1))
     return ar_translate(syzygy(M, direction, n - 1), direction)
 
 
@@ -702,19 +746,15 @@ def _try_split(M, endo):
     return subrepresentation(M, kcols), subrepresentation(M, icols)
 
 
-def decompose(M, seed=1729):
-    """List of indecomposable summands (with repetition) by Fitting splits."""
-    if M.is_zero():
-        return []
-    endos = hom_basis(M, M)
-    if len(endos) == 1:
-        return [M]
-    candidates = list(endos)
+def _split_candidates(M, endos, seed):
+    """Endomorphisms to try in turn: the basis, its pairwise sums, then 60
+    seeded random combinations, each built only when reached."""
+    yield from endos
     for i in range(len(endos)):
         for j in range(i + 1, len(endos)):
-            candidates.append(Morphism(M, M, {
+            yield Morphism(M, M, {
                 v: linalg.matadd(endos[i].mats[v], endos[j].mats[v])
-                for v in endos[i].mats}))
+                for v in endos[i].mats})
     rng = random.Random(seed)
     for _ in range(60):
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in endos]
@@ -725,8 +765,17 @@ def decompose(M, seed=1729):
                 if c:
                     m = linalg.matadd(m, linalg.scale(f.mats[v], c))
             mats[v] = m
-        candidates.append(Morphism(M, M, mats))
-    for endo in candidates:
+        yield Morphism(M, M, mats)
+
+
+def decompose(M, seed=1729):
+    """List of indecomposable summands (with repetition) by Fitting splits."""
+    if M.is_zero():
+        return []
+    endos = hom_basis(M, M)
+    if len(endos) == 1:
+        return [M]
+    for endo in _split_candidates(M, endos, seed):
         split = _try_split(M, endo)
         if split is not None:
             k, im = split
