@@ -2,7 +2,16 @@
 
 Enumeration walks the tau-minus orbits of the indecomposable
 projectives; for representation-directed algebras this reaches every
-indecomposable, certified by all injectives showing up.
+indecomposable, certified by all injectives showing up.  It records the
+tau-minus image of every node, and the AR quiver is knitted from that
+record: the arrows into P(v) are the summands of rad P(v), and the arrows
+into tau^- W are the arrows out of W (Assem-Simson-Skowronski, Elements
+Vol. 1, IV.4), with no Hom space between two different nodes.
+
+On a cycle quiver the indecomposables are the uniserials, some of whose
+tau-orbits are periodic and hold no projective, so there the arrows come
+from dim rad - dim rad^2, composing Hom bases through every third node.
+That construction is also the tests' reference for the knitted quivers.
 """
 
 from . import linalg, replab
@@ -52,61 +61,75 @@ class _IsoIndex:
         self.buckets.setdefault(rep.dim_vector(), []).append((rep, payload))
 
 
+class _Record:
+    """What translating each node once leaves behind: per node, the index
+    of its tau-minus image, None when the node is injective; per vertex v,
+    the index of P(v); and the isomorphism index over all nodes."""
+
+    def __init__(self, index):
+        self.index = index
+        self.tau_minus = []
+        self.projective = {}
+
+
 def _enumerate(A, cap=4096, dim_cap=None):
-    """Returns (reps, complete, capped).
+    """Returns (reps, complete, capped, record).
 
     ``dim_cap`` aborts once a produced indecomposable exceeds the given
     total dimension, a cheap certificate of unbounded translate orbits.
     """
     index = _IsoIndex()
+    record = _Record(index)
     order = []
-    queue = []
+
+    def add(rep):
+        index.add(rep, len(order))
+        order.append(rep)
+        record.tau_minus.append(None)
+        return len(order) - 1
+
     for v in sorted(A.quiver.vertices):
         P = replab.projective(A, v)
-        if index.find(P) is None:
-            index.add(P, len(order))
-            order.append(P)
-            queue.append(P)
+        i = index.find(P)
+        record.projective[v] = add(P) if i is None else i
     capped = False
-    while queue:
-        M = queue.pop(0)
-        T = replab.ar_translate(M, "-")
-        if T.is_zero():
-            continue
-        parts = replab.decompose(T)
-        for part in parts:
-            if index.find(part) is None:
+    # the queue is the node list itself: every node is translated once,
+    # in the order it was found
+    i = 0
+    while i < len(order):
+        T = replab.ar_translate(order[i], "-")
+        if not T.is_zero():
+            parts = replab.decompose(T)
+            if len(parts) != 1:
+                raise EnumerationError(
+                    "tau-minus image of an indecomposable split into "
+                    f"{len(parts)} summands")
+            j = index.find(parts[0])
+            if j is None:
                 if len(order) >= cap or (
                         dim_cap is not None
-                        and part.total_dim() > dim_cap):
+                        and parts[0].total_dim() > dim_cap):
                     capped = True
-                    queue = []
                     break
-                index.add(part, len(order))
-                order.append(part)
-                queue.append(part)
-    complete = True
-    if not capped:
-        for v in A.quiver.vertices:
-            I = replab.injective(A, v)
-            if index.find(I) is None:
-                complete = False
-                break
-    else:
-        complete = False
-    return order, complete, capped
+                j = add(parts[0])
+            record.tau_minus[i] = j
+        i += 1
+    complete = not capped and all(
+        index.find(replab.injective(A, v)) is not None
+        for v in A.quiver.vertices)
+    return order, complete, capped, record
 
 
-def indecomposables(A, cap=4096, dim_cap=None):
-    q = A.quiver
-    if (len(q.arrows) == len(q.vertices)
+def _is_cycle(q):
+    return (len(q.arrows) == len(q.vertices)
             and all(len(q.out[v]) == 1 and len(q.inc[v]) == 1
-                    for v in q.vertices)):
-        # On a cycle quiver every indecomposable is uniserial, and some
-        # tau-orbits are periodic without ever meeting a projective, so
-        # knitting from the projectives would silently under-enumerate.
-        return replab.uniserial_modules(A)
-    reps, complete, capped = _enumerate(A, cap=cap, dim_cap=dim_cap)
+                    for v in q.vertices))
+
+
+def _complete_enumeration(A, cap, dim_cap=None):
+    """(reps, record) from ``_enumerate``, or EnumerationError when the
+    orbits of the projectives do not certify a complete list."""
+    reps, complete, capped, record = _enumerate(A, cap=cap, dim_cap=dim_cap)
     if capped:
         raise EnumerationError(
             f"more than {cap} indecomposables reached; "
@@ -115,67 +138,58 @@ def indecomposables(A, cap=4096, dim_cap=None):
         raise EnumerationError(
             "tau-minus orbits of projectives missed an injective; "
             "enumeration is not complete for this algebra")
-    return reps
+    return reps, record
 
 
-def _radical_hom_dims(reps, seed=1729):
-    """dim Hom(X, Y) table; assumes all endomorphism rings are trivial."""
-    n = len(reps)
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = replab.hom_dim(reps[i], reps[j])
-            if d:
-                table[(i, j)] = d
-    return table
+def indecomposables(A, cap=4096, dim_cap=None):
+    if _is_cycle(A.quiver):
+        # On a cycle quiver every indecomposable is uniserial, and some
+        # tau-orbits are periodic without ever meeting a projective, so
+        # knitting from the projectives would silently under-enumerate.
+        return replab.uniserial_modules(A)
+    return _complete_enumeration(A, cap, dim_cap)[0]
 
 
-def ar_quiver(A, cap=4096):
-    reps = indecomposables(A, cap=cap)
-    n = len(reps)
-    # stable ids
-    seen = {}
-    nodes = []
-    for rep in reps:
-        dv = rep.dim_vector()
-        k = seen.get(dv, 0)
-        seen[dv] = k + 1
-        dvs = ",".join(str(d) for d in dv)
-        nodes.append(ARNode(f"({dvs})@{k}", rep))
+def _translate_each(A, reps):
+    """The record that ``_enumerate`` keeps, for an already complete list
+    (the uniserials of a cycle quiver)."""
     index = _IsoIndex()
     for i, rep in enumerate(reps):
         index.add(rep, i)
-    # markers
+    record = _Record(index)
+    for rep in reps:
+        T = replab.ar_translate(rep, "-")
+        j = None
+        if not T.is_zero():
+            j = index.find(T)
+            if j is None:
+                raise EnumerationError(
+                    "tau image left the enumerated set (bug)")
+        record.tau_minus.append(j)
     for v in A.quiver.vertices:
         i = index.find(replab.projective(A, v))
         if i is not None:
-            nodes[i].is_projective = True
-        i = index.find(replab.injective(A, v))
-        if i is not None:
-            nodes[i].is_injective = True
-    # brick sanity (the radical formulas below rely on it)
-    for rep in reps:
-        if replab.hom_dim(rep, rep) != 1:
-            raise EnumerationError(
-                "non-brick indecomposable found; AR quiver assembly "
-                "supports representation-directed algebras only")
-    # tau
-    tau = {}
-    for i, node in enumerate(nodes):
-        if node.is_projective:
-            continue
-        t = replab.ar_translate(node.rep, "+")
-        j = index.find(t)
-        if j is None:
-            raise EnumerationError("tau image left the enumerated set (bug)")
-        tau[node.id] = nodes[j].id
-    # irreducible-map multiplicities: dim rad - dim rad^2
+            record.projective[v] = i
+    return record
+
+
+def _radical_arrows(reps):
+    """Irreducible-map multiplicities {(i, j): dim rad - dim rad^2} between
+    pairwise non-isomorphic bricks, in sorted (i, j) order.
+
+    rad(X, Y) = Hom(X, Y) here, and rad^2(X, Y) is spanned by the
+    composites of Hom bases through every third node.
+    """
+    n = len(reps)
+    homdims = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d = replab.hom_dim(reps[i], reps[j])
+                if d:
+                    homdims[(i, j)] = d
     hom_bases = {}
     arrows = {}
-    # rad(X,Y) = Hom(X,Y) for nonisomorphic bricks
-    homdims = _radical_hom_dims(reps)
     for (i, j), d in sorted(homdims.items()):
         vecs = []
         for k in range(n):
@@ -190,14 +204,101 @@ def ar_quiver(A, cap=4096):
                     for g in hom_bases[(k, j)]:
                         comp = g.compose(f)
                         vec = []
-                        for v in A.quiver.vertices:
+                        for v in reps[i].algebra.quiver.vertices:
                             for row in comp.mats[v]:
                                 vec.extend(row)
                         vecs.append(vec)
         rad2 = linalg.rank(vecs) if vecs else 0
         mult = d - rad2
         if mult:
-            arrows[(nodes[i].id, nodes[j].id)] = mult
+            arrows[(i, j)] = mult
+    return arrows
+
+
+def _knit(A, record, tau):
+    """Irreducible-map multiplicities {(i, j): m} in sorted (i, j) order,
+    from the tau-minus record and its inverse ``tau`` (index -> index).
+
+    The arrows into P(v) come from the summands of rad P(v) = Omega S(v).
+    The arrows into tau^- W are the arrows out of W (the mesh ending at
+    tau^- W): into each P with W | rad P, and into tau^- U for each arrow
+    U -> W with U not injective, with the same multiplicities.
+    """
+    n = len(record.tau_minus)
+    into = [{} for _ in range(n)]        # j -> {i: multiplicity of i -> j}
+    into_projective = [{} for _ in range(n)]   # i -> {P: mult}
+    for v, j in record.projective.items():
+        rad = replab.syzygy(replab.simple(A, v), "+", 1)
+        for part in replab.decompose(rad):
+            i = record.index.find(part)
+            if i is None:
+                raise EnumerationError(
+                    "radical summand of a projective left the enumerated "
+                    "set (bug)")
+            into[j][i] = into[j].get(i, 0) + 1
+            into_projective[i][j] = into[j][i]
+    # a non-projective node is found while translating its tau, so its
+    # tau comes earlier in node order: the arrows into tau x are complete
+    # by the time x is filled
+    for x in range(n):
+        w = tau.get(x)
+        if w is None:
+            continue
+        into[x].update(into_projective[w])
+        for u, mult in into[w].items():
+            t = record.tau_minus[u]
+            if t is not None:
+                into[x][t] = mult
+    return dict(sorted(((i, j), mult) for j in range(n)
+                       for i, mult in into[j].items()))
+
+
+def ar_quiver(A, cap=4096):
+    """AR quiver of a representation-directed algebra, or of a Nakayama
+    algebra on a cycle quiver.  Arrows are knitted from the tau-minus
+    orbits of the projectives; on a cycle quiver, whose periodic orbits
+    hold no projective to start from, they are dim rad - dim rad^2."""
+    cycle = _is_cycle(A.quiver)
+    if cycle:
+        reps = replab.uniserial_modules(A)
+    else:
+        reps, record = _complete_enumeration(A, cap)
+    # stable ids
+    seen = {}
+    nodes = []
+    for rep in reps:
+        dv = rep.dim_vector()
+        k = seen.get(dv, 0)
+        seen[dv] = k + 1
+        dvs = ",".join(str(d) for d in dv)
+        nodes.append(ARNode(f"({dvs})@{k}", rep))
+    # brick sanity (knitting and the radical formulas rely on it)
+    for rep in reps:
+        if replab.hom_dim(rep, rep) != 1:
+            raise EnumerationError(
+                "non-brick indecomposable found; AR quiver assembly "
+                "supports representation-directed algebras only")
+    if cycle:
+        record = _translate_each(A, reps)
+    for i in record.projective.values():
+        nodes[i].is_projective = True
+    tau_index = {}
+    for i, t in enumerate(record.tau_minus):
+        if t is None:
+            nodes[i].is_injective = True
+        else:
+            tau_index[t] = i
+    tau = {}
+    for j, node in enumerate(nodes):
+        if node.is_projective:
+            continue
+        if j not in tau_index:
+            raise EnumerationError("tau image left the enumerated set (bug)")
+        tau[node.id] = nodes[tau_index[j]].id
+    by_index = (_radical_arrows(reps) if cycle
+                else _knit(A, record, tau_index))
+    arrows = {(nodes[i].id, nodes[j].id): mult
+              for (i, j), mult in by_index.items()}
     return ARData(A, nodes, arrows, tau)
 
 
@@ -226,7 +327,7 @@ def is_representation_directed(A, cap=4096):
     """(verdict, certificate). Certificate is a topological order of the
     Hom digraph when True, else a reason/cycle."""
     try:
-        reps, complete, capped = _enumerate(A, cap=cap)
+        reps, complete, capped, _ = _enumerate(A, cap=cap)
     except replab.DecompositionError:
         return False, {"reason": "decomposition failure during enumeration"}
     if capped:

@@ -234,8 +234,9 @@ def _cmd_glue(args, report):
         report.verdict("complete", complete)
         report.verdict("vertices", len(L.quiver.vertices))
         _write_dump(args, mods, report)
-        rep = verifier.check_nct(A=L, M=verifier.Subcategory(L, mods),
-                                 n=args.n) if complete else None
+        rep = verifier.check_nct(
+            A=L, M=verifier.Subcategory(L, mods, dedupe=False),
+            n=args.n) if complete else None
         if rep is not None:
             return _finish_check(rep, report, args)
         return PASS

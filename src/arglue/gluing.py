@@ -342,16 +342,19 @@ def _fold(sys, edges, prefix_fn):
         merged.algebra = glued.presentation
         merged.vmaps = {}
         merged.amaps = {}
-        for tv in cu.members:
-            merged.vmaps[tv] = {orig: glued.vertex_map_B[cur]
-                                for orig, cur in cu.vmaps[tv].items()}
-            merged.amaps[tv] = {orig: glued.arrow_map_B[cur]
-                                for orig, cur in cu.amaps[tv].items()}
-        for tv in cv.members:
-            merged.vmaps[tv] = {orig: glued.vertex_map_A[cur]
-                                for orig, cur in cv.vmaps[tv].items()}
-            merged.amaps[tv] = {orig: glued.arrow_map_A[cur]
-                                for orig, cur in cv.amaps[tv].items()}
+        # tree-vertex order, not set order, so that the maps' key order
+        # does not follow string hashing
+        for tv in sys.tree_vertices:
+            if tv in cu.members:
+                c, vmap, amap = cu, glued.vertex_map_B, glued.arrow_map_B
+            elif tv in cv.members:
+                c, vmap, amap = cv, glued.vertex_map_A, glued.arrow_map_A
+            else:
+                continue
+            merged.vmaps[tv] = {orig: vmap[cur]
+                                for orig, cur in c.vmaps[tv].items()}
+            merged.amaps[tv] = {orig: amap[cur]
+                                for orig, cur in c.amaps[tv].items()}
         for tv in merged.members:
             comps[tv] = merged
     final = comps[sys.tree_vertices[0]]

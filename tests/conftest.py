@@ -3,9 +3,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from arglue import fracture as fx
 from arglue.core import BoundQuiverPresentation, KupischSeries, Quiver
+
+# the same examples on every run: a failure found once is found again;
+# each test keeps its own max_examples
+settings.register_profile("arglue", derandomize=True)
+settings.load_profile("arglue")
 
 
 def rad2_chain(m):

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from arglue import arquiver, replab
 from arglue.core import KupischSeries, linear_a, nakayama, starlike
-from conftest import branched_ten, chain_four, orbit_four_fixture, rad2_chain
+from arglue.gluing import GluingSpec, glue
+from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
+                      orbit_four_fixture, rad2_chain, random_acyclic_series,
+                      right_ab)
 
 
 def test_indecomposable_counts():
@@ -51,6 +56,70 @@ def test_ar_quiver_mesh_identity_cyclic():
     ar = arquiver.ar_quiver(A)
     assert ar.node_count() == 18
     assert arquiver.verify_mesh_identity(ar) == []
+
+
+def _oracle_parts(A, reps):
+    """Node ids, markers, arrows and tau of the AR quiver on ``reps`` the
+    way they were found before knitting: markers by looking up every P(v)
+    and I(v), tau by translating each non-projective node, and arrows as
+    dim rad - dim rad^2."""
+    ids, seen = [], {}
+    for rep in arquiver.indecomposables(A):
+        dv = rep.dim_vector()
+        k = seen[dv] = seen.get(dv, -1) + 1
+        ids.append("(" + ",".join(map(str, dv)) + f")@{k}")
+    index = arquiver._IsoIndex()
+    for i, rep in enumerate(reps):
+        index.add(rep, i)
+    proj = {index.find(replab.projective(A, v)) for v in A.quiver.vertices}
+    inj = {index.find(replab.injective(A, v)) for v in A.quiver.vertices}
+    markers = [(i in proj, i in inj) for i in range(len(reps))]
+    tau = [(ids[i], ids[index.find(replab.ar_translate(rep, "+"))])
+           for i, rep in enumerate(reps) if i not in proj]
+    arrows = [((ids[i], ids[j]), mult)
+              for (i, j), mult in arquiver._radical_arrows(reps).items()]
+    return ids, markers, arrows, tau
+
+
+def _knit_corpus():
+    A4, B = chain_four(), branched_ten()
+    glued = glue(GluingSpec(A4, left_ab(A4, "1"), B, right_ab(B, "3")))
+    rng = random.Random(20260823)
+    return ([rad2_chain(m) for m in (3, 4, 5)]
+            + [A4, B, fold_fixture(), orbit_four_fixture(),
+               glued.presentation]
+            + [linear_a(h) for h in range(1, 11)]
+            + [nakayama(random_acyclic_series(rng)) for _ in range(12)]
+            + [nakayama(KupischSeries(s, cyclic=True))
+               for s in ([2, 2, 3, 3, 3, 3, 2], [3, 2, 3, 2, 2, 2, 3, 4])])
+
+
+def test_knitted_ar_quiver_matches_radical_oracle():
+    for A in _knit_corpus():
+        ar = arquiver.ar_quiver(A)
+        got = ([n.id for n in ar.nodes],
+               [(n.is_projective, n.is_injective) for n in ar.nodes],
+               list(ar.arrows.items()), list(ar.tau.items()))
+        assert got == _oracle_parts(A, [n.rep for n in ar.nodes]), \
+            A.to_json()
+
+
+def test_linear_a_has_triangle_of_simple_arrows():
+    for h in range(1, 11):
+        ar = arquiver.ar_quiver(linear_a(h))
+        assert len(ar.arrows) == h * (h - 1)
+        assert set(ar.arrows.values()) <= {1}
+
+
+def test_cyclic_ar_quiver_pinned():
+    # values of the rad/rad^2 construction, which this quiver keeps
+    A = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))
+    ar = arquiver.ar_quiver(A)
+    assert ar.node_count() == 18
+    assert len(ar.arrows) == 22 and set(ar.arrows.values()) == {1}
+    assert len(ar.tau) == 11
+    assert sum(n.is_projective for n in ar.nodes) == 7
+    assert sum(n.is_injective for n in ar.nodes) == 7
 
 
 def test_is_representation_directed():

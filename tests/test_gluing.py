@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from arglue import arquiver
@@ -91,6 +96,30 @@ def test_glue_system_chain_of_three():
     L, vmaps, amaps = glue_system(spec)
     assert len(L.quiver.vertices) == 5
     assert kupisch_of(L) == KupischSeries([2, 2, 2, 2, 1])
+
+
+_FOUR_CHAIN = """
+import json
+from arglue.core import linear_a
+from arglue.gluing import GluingSystemSpec, glue_system
+tree = ["x", "y", "z", "w"]
+spec = GluingSystemSpec(
+    tree, [(u, v, "1", "3") for u, v in zip(tree, tree[1:])],
+    {tv: linear_a(3) for tv in tree})
+_L, vmaps, amaps = glue_system(spec)
+print(json.dumps([list(vmaps), list(amaps)]))
+"""
+
+
+def test_glue_system_map_order_ignores_string_hashing():
+    src = os.path.dirname(os.path.dirname(arquiver.__file__))
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOUR_CHAIN],
+            capture_output=True, text=True, env=env, check=True)
+        vkeys, akeys = json.loads(proc.stdout)
+        assert vkeys == akeys == ["x", "y", "z", "w"], hashseed
 
 
 def test_push_forward_system():
