@@ -72,11 +72,11 @@ class _Record:
         self.projective = {}
 
 
-def _enumerate(A, cap=4096, dim_cap=None):
+def _enumerate(A, cap=4096):
     """Returns (reps, complete, capped, record).
 
-    ``dim_cap`` aborts once a produced indecomposable exceeds the given
-    total dimension, a cheap certificate of unbounded translate orbits.
+    Every node but the P(v) is a tau-minus image that ``decompose``
+    returned unsplit, so its endomorphism ring is 1-dimensional.
     """
     index = _IsoIndex()
     record = _Record(index)
@@ -106,9 +106,7 @@ def _enumerate(A, cap=4096, dim_cap=None):
                     f"{len(parts)} summands")
             j = index.find(parts[0])
             if j is None:
-                if len(order) >= cap or (
-                        dim_cap is not None
-                        and parts[0].total_dim() > dim_cap):
+                if len(order) >= cap:
                     capped = True
                     break
                 j = add(parts[0])
@@ -126,10 +124,10 @@ def _is_cycle(q):
                     for v in q.vertices))
 
 
-def _complete_enumeration(A, cap, dim_cap=None):
+def _complete_enumeration(A, cap):
     """(reps, record) from ``_enumerate``, or EnumerationError when the
     orbits of the projectives do not certify a complete list."""
-    reps, complete, capped, record = _enumerate(A, cap=cap, dim_cap=dim_cap)
+    reps, complete, capped, record = _enumerate(A, cap=cap)
     if capped:
         raise EnumerationError(
             f"more than {cap} indecomposables reached; "
@@ -141,13 +139,13 @@ def _complete_enumeration(A, cap, dim_cap=None):
     return reps, record
 
 
-def indecomposables(A, cap=4096, dim_cap=None):
+def indecomposables(A, cap=4096):
     if _is_cycle(A.quiver):
         # On a cycle quiver every indecomposable is uniserial, and some
         # tau-orbits are periodic without ever meeting a projective, so
         # knitting from the projectives would silently under-enumerate.
         return replab.uniserial_modules(A)
-    return _complete_enumeration(A, cap, dim_cap)[0]
+    return _complete_enumeration(A, cap)[0]
 
 
 def _translate_each(A, reps):
@@ -204,8 +202,9 @@ def _radical_arrows(reps):
                     for g in hom_bases[(k, j)]:
                         comp = g.compose(f)
                         vec = []
+                        # a vertex off either support adds no entries
                         for v in reps[i].algebra.quiver.vertices:
-                            for row in comp.mats[v]:
+                            for row in comp.mats.get(v, ()):
                                 vec.extend(row)
                         vecs.append(vec)
         rad2 = linalg.rank(vecs) if vecs else 0
@@ -272,12 +271,17 @@ def ar_quiver(A, cap=4096):
         seen[dv] = k + 1
         dvs = ",".join(str(d) for d in dv)
         nodes.append(ARNode(f"({dvs})@{k}", rep))
-    # brick sanity (knitting and the radical formulas rely on it)
-    for rep in reps:
-        if replab.hom_dim(rep, rep) != 1:
-            raise EnumerationError(
-                "non-brick indecomposable found; AR quiver assembly "
-                "supports representation-directed algebras only")
+    # brick sanity (knitting and the radical formulas rely on it).  Off a
+    # cycle, enumeration certifies every node but the P(v), and
+    # dim End P(v) = dim P(v)_v
+    if cycle:
+        bricks = all(replab.hom_dim(rep, rep) == 1 for rep in reps)
+    else:
+        bricks = all(reps[i].dim[v] == 1 for v, i in record.projective.items())
+    if not bricks:
+        raise EnumerationError(
+            "non-brick indecomposable found; AR quiver assembly "
+            "supports representation-directed algebras only")
     if cycle:
         record = _translate_each(A, reps)
     for i in record.projective.values():

@@ -112,8 +112,7 @@ def _write_dump(args, modules, report):
 
 
 def _summaries(modules):
-    return [{"dims": {v: d for v, d in M.dim.items() if d}}
-            for M in modules]
+    return [{"dims": dict(M.dim)} for M in modules]
 
 
 # -- subcommand pipelines -------------------------------------------------

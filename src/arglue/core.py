@@ -27,9 +27,11 @@ class Quiver:
         ids = [a for a, _, _ in self.arrows]
         if len(set(ids)) != len(ids):
             raise AlgebraError("duplicate arrow ids")
-        vset = set(self.vertices)
+        # positions in vertex and arrow order
+        self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
+        self.arrow_pos = {a: i for i, a in enumerate(ids)}
         for a, s, t in self.arrows:
-            if s not in vset or t not in vset:
+            if s not in self.vertex_pos or t not in self.vertex_pos:
                 raise AlgebraError(f"arrow {a} has dangling endpoint")
         self.src = {a: s for a, s, t in self.arrows}
         self.tgt = {a: t for a, s, t in self.arrows}

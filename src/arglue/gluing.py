@@ -114,13 +114,8 @@ def push_forward(M, glued, side):
     vmap = glued.vertex_map_A if side == "A" else glued.vertex_map_B
     amap = glued.arrow_map_A if side == "A" else glued.arrow_map_B
     L = glued.presentation
-    dims = {}
-    for v, d in M.dim.items():
-        if d:
-            dims[vmap[v]] = d
-    mats = {}
-    for a, m in M.mats.items():
-        mats[amap[a]] = m
+    dims = {vmap[v]: d for v, d in M.dim.items()}
+    mats = {amap[a]: m for a, m in M.mats.items()}
     return replab.Representation(L, dims, mats, check=False)
 
 
@@ -396,10 +391,7 @@ def glue_system(sys, check_orders=True):
 
 def push_forward_system(M, tv, L, vmaps, amaps):
     """Zero-extension of a module at tree vertex tv into the glued algebra."""
-    dims = {}
-    for v, d in M.dim.items():
-        if d:
-            dims[vmaps[tv][v]] = d
+    dims = {vmaps[tv][v]: d for v, d in M.dim.items()}
     mats = {amaps[tv][a]: m for a, m in M.mats.items()}
     return replab.Representation(L, dims, mats, check=False)
 

@@ -180,18 +180,14 @@ def column_space_basis(a):
 def complement_basis(cols, dim):
     """Extend independent columns spanning a subspace of k^dim to a full basis
     using standard basis vectors; return the indices of the chosen standard
-    vectors and the combined invertible matrix [cols | std]."""
-    chosen = []
-    current = list(cols)
-    cur_rank = rank(columns_to_matrix(current, dim)) if current else 0
-    for i in range(dim):
-        if cur_rank == dim:
-            break
-        e = [ONE if j == i else ZERO for j in range(dim)]
-        trial = current + [e]
-        r2 = rank(columns_to_matrix(trial, dim))
-        if r2 > cur_rank:
-            chosen.append(i)
-            current = trial
-            cur_rank = r2
-    return chosen, columns_to_matrix(current, dim)
+    vectors and the combined invertible matrix [cols | std].
+
+    A standard vector is chosen when it is independent of the columns and
+    of the standard vectors chosen before it: the pivot columns of
+    [cols | identity] beyond the given ones."""
+    k = len(cols)
+    unit = identity(dim)
+    _, pivots = rref([[col[i] for col in cols] + unit[i] for i in range(dim)])
+    chosen = [p - k for p in pivots if p >= k]
+    return chosen, columns_to_matrix(list(cols) + [unit[i] for i in chosen],
+                                     dim)

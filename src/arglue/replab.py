@@ -1,7 +1,9 @@
 """Exact quiver representations and the homological toolkit.
 
-Modules over a bound quiver presentation are stored as one rational
-matrix per arrow.  Projective resolutions are kept in "path
+Modules over a bound quiver presentation are stored on their support: a
+dimension for each vertex where the module is non-zero, and one rational
+matrix for each arrow with both ends among those vertices; everything
+else is zero and costs nothing.  Projective resolutions are kept in "path
 coordinates": the differential out of each cover is recorded as, per
 generator, a linear combination of (block, path) basis labels of the
 previous cover.  Hom complexes against any module then come straight
@@ -36,46 +38,79 @@ def op_algebra(A):
     return cached
 
 
+class _Dims(dict):
+    """Dimensions on the support; a vertex outside it reads 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        return 0
+
+
 class Representation:
+    """A module stored on its support.
+
+    ``dim`` holds the non-zero vertices and ``mats`` the arrows with both
+    ends among them, each in quiver order; ``dim[v]`` reads 0 off the
+    support, and an arrow missing from ``mats`` acts as the zero map.
+    Modules are never changed after construction.
+    """
+
     def __init__(self, algebra, dim, mats, check=True):
         self.algebra = algebra
         q = algebra.quiver
-        self.dim = {v: int(dim.get(v, 0)) for v in q.vertices}
+        if check:
+            _check_names(q, dim, mats)
+        items = [(v, int(d)) for v, d in dim.items() if d]
+        if len(items) > 1:
+            items.sort(key=lambda vd: q.vertex_pos[vd[0]])
+        sup = self.dim = _Dims(items)
+        src, tgt = q.src, q.tgt
+        arrows = [a for v in sup for a in q.out[v] if tgt[a] in sup]
+        if len(arrows) > 1:
+            arrows.sort(key=q.arrow_pos.__getitem__)
         self.mats = {}
-        for a, s, t in q.arrows:
+        for a in arrows:
             m = mats.get(a)
-            if m is None:
-                m = linalg.zeros(self.dim[t], self.dim[s])
-            self.mats[a] = m
+            self.mats[a] = (m if m is not None
+                            else linalg.zeros(sup[tgt[a]], sup[src[a]]))
+        self._total = sum(sup.values())
+        self._support = frozenset(sup)
+        self._dim_vector = None
         self._path_cache = {}
         self._resolution = None
         if check:
-            self._validate()
+            self._validate(mats)
 
-    def _validate(self):
+    def _validate(self, given):
+        """Every given matrix has the shape of its arrow, also off the
+        support, and every relation starting on the support acts as 0."""
         q = self.algebra.quiver
-        for a, s, t in q.arrows:
-            r, c = linalg.shape(self.mats[a])
-            if r != self.dim[t] or (r > 0 and c != self.dim[s]):
+        for a in sorted(given, key=q.arrow_pos.__getitem__):
+            r, c = linalg.shape(given[a])
+            if r != self.dim[q.tgt[a]] or (r > 0 and c != self.dim[q.src[a]]):
                 raise ValueError(f"matrix shape for arrow {a} does not match dims")
         for rel in self.algebra.relations:
             base = q.src[rel[0]]
-            m = self.act(rel, base)
-            if not linalg.is_zero_matrix(m):
+            if base in self.dim and not linalg.is_zero_matrix(
+                    self.act(rel, base)):
                 raise ValueError(f"relation {rel} does not annihilate module")
 
     # -- basics ----------------------------------------------------------
     def total_dim(self):
-        return sum(self.dim.values())
+        return self._total
 
     def dim_vector(self):
-        return tuple(self.dim[v] for v in self.algebra.quiver.vertices)
+        if self._dim_vector is None:
+            self._dim_vector = tuple(
+                self.dim[v] for v in self.algebra.quiver.vertices)
+        return self._dim_vector
 
     def support(self):
-        return frozenset(v for v, d in self.dim.items() if d)
+        return self._support
 
     def is_zero(self):
-        return self.total_dim() == 0
+        return self._total == 0
 
     def act(self, path, base):
         """Matrix of the action along ``path`` starting at vertex ``base``."""
@@ -89,8 +124,8 @@ class Representation:
             tgt = q.tgt[path[-1]]
             # zero anywhere along the way forces the zero map (and keeps
             # matrix shapes honest: a 0-row matrix cannot carry its width)
-            waypoints = [src] + [q.tgt[a] for a in path]
-            if any(self.dim[w] == 0 for w in waypoints):
+            if src not in self.dim or any(
+                    q.tgt[a] not in self.dim for a in path):
                 m = linalg.zeros(self.dim[tgt], self.dim[src])
             else:
                 m = self.mats[path[0]]
@@ -100,8 +135,24 @@ class Representation:
         return m
 
     def __repr__(self):
-        sup = {v: d for v, d in self.dim.items() if d}
-        return f"Rep({sup})"
+        return f"Rep({dict(self.dim)})"
+
+
+def _check_names(q, dim, mats):
+    """ValueError for vertices or arrows that ``q`` does not have, and for
+    negative dimensions."""
+    problems = []
+    bad = [str(v) for v in dim if v not in q.vertex_pos]
+    if bad:
+        problems.append(f"unknown vertices {bad}")
+    bad = [str(a) for a in mats if a not in q.src]
+    if bad:
+        problems.append(f"unknown arrows {bad}")
+    bad = [str(v) for v, d in dim.items() if int(d) < 0]
+    if bad:
+        problems.append(f"negative dimensions at {bad}")
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def zero_rep(A):
@@ -109,29 +160,36 @@ def zero_rep(A):
 
 
 def simple(A, v):
-    if v not in A.quiver.src and v not in set(A.quiver.vertices):
+    if v not in A.quiver.vertex_pos:
         raise ValueError(f"unknown vertex {v}")
     return Representation(A, {v: 1}, {}, check=False)
 
 
 def _paths_rep(A, basis_by_vertex, step):
-    """Common builder for projectives/injectives from labeled path bases.
+    """Common builder for projectives and injectives from labeled path
+    bases: returns the module and, per vertex of its support,
+    {label: coordinate}.
 
-    ``step(path, arrow)`` returns the label of the image basis path or
+    ``step(label, arrow)`` returns the label of the image basis path or
     None when the arrow action kills it.
     """
-    dim = {v: len(b) for v, b in basis_by_vertex.items()}
-    index = {v: {p: i for i, p in enumerate(b)} for v, b in basis_by_vertex.items()}
-    mats = {}
+    index = {v: {p: i for i, p in enumerate(b)}
+             for v, b in basis_by_vertex.items() if b}
     q = A.quiver
-    for a, s, t in q.arrows:
-        m = linalg.zeros(dim.get(t, 0), dim.get(s, 0))
-        for p, col in index.get(s, {}).items():
-            img = step(p, a)
-            if img is not None and img in index.get(t, {}):
-                m[index[t][img]][col] = ONE
-        mats[a] = m
-    return Representation(A, dim, mats, check=False)
+    mats = {}
+    for s, cols in index.items():
+        for a in q.out[s]:
+            rows = index.get(q.tgt[a])
+            if rows is None:
+                continue
+            m = linalg.zeros(len(rows), len(cols))
+            for p, col in cols.items():
+                img = step(p, a)
+                if img is not None and img in rows:
+                    m[rows[img]][col] = ONE
+            mats[a] = m
+    dim = {v: len(cols) for v, cols in index.items()}
+    return Representation(A, dim, mats, check=False), index
 
 
 def _memo(A, key, build):
@@ -166,7 +224,7 @@ def _projective(A, v):
     def step(p, a):
         return p + (a,) if A._extension_survives(p, a) else None
 
-    return _paths_rep(A, basis, step)
+    return _paths_rep(A, basis, step)[0]
 
 
 def _injective(A, v):
@@ -180,11 +238,11 @@ def _injective(A, v):
     def step(p, a):
         return p[1:] if p and p[0] == a else None
 
-    return _paths_rep(A, basis, step)
+    return _paths_rep(A, basis, step)[0]
 
 
 def standard_module(A, vertex, kind):
-    if vertex not in set(A.quiver.vertices):
+    if vertex not in A.quiver.vertex_pos:
         raise ValueError(f"unknown vertex {vertex}")
     if kind == "projective":
         return projective(A, vertex)
@@ -198,26 +256,35 @@ def standard_module(A, vertex, kind):
 def dual(M):
     """Standard duality: a module over the opposite presentation."""
     B = op_algebra(M.algebra)
-    mats = {a: linalg.transpose(M.mats[a]) for a in M.mats}
-    return Representation(B, dict(M.dim), mats, check=False)
+    mats = {a: linalg.transpose(m) for a, m in M.mats.items()}
+    return Representation(B, M.dim, mats, check=False)
 
 
 def direct_sum(A, reps):
-    reps = [r for r in reps if not r.is_zero()] or []
-    dim = {v: sum(r.dim[v] for r in reps) for v in A.quiver.vertices}
+    reps = [r for r in reps if not r.is_zero()]
+    dim = {}
+    for r in reps:
+        for v, d in r.dim.items():
+            dim[v] = dim.get(v, 0) + d
+    q = A.quiver
     mats = {}
-    for a, s, t in A.quiver.arrows:
-        m = linalg.zeros(dim[t], dim[s])
-        ro = co = 0
-        for r in reps:
-            blk = r.mats[a]
-            for i in range(r.dim[t]):
-                for j in range(r.dim[s]):
-                    if blk[i][j]:
-                        m[ro + i][co + j] = blk[i][j]
-            ro += r.dim[t]
-            co += r.dim[s]
-        mats[a] = m
+    for s in dim:
+        for a in q.out[s]:
+            t = q.tgt[a]
+            if t not in dim:
+                continue
+            m = linalg.zeros(dim[t], dim[s])
+            ro = co = 0
+            for r in reps:
+                blk = r.mats.get(a)
+                if blk is not None:
+                    for i, row in enumerate(blk):
+                        for j, x in enumerate(row):
+                            if x:
+                                m[ro + i][co + j] = x
+                ro += r.dim[t]
+                co += r.dim[s]
+            mats[a] = m
     return Representation(A, dim, mats, check=False)
 
 
@@ -227,59 +294,65 @@ class Morphism:
     def __init__(self, source, target, mats):
         self.source = source
         self.target = target
-        self.mats = mats  # vertex -> matrix dim(target_v) x dim(source_v)
+        # vertex -> matrix dim(target_v) x dim(source_v), on the vertices
+        # where both are non-zero
+        self.mats = mats
 
     def compose(self, other):
         """self after other (other: X->Y, self: Y->Z)."""
+        X, Z = other.source, self.target
         mats = {}
-        for v in self.mats:
-            rows = self.target.dim[v]
-            mid = self.source.dim[v]
-            cols = other.source.dim[v]
-            if rows == 0 or mid == 0 or cols == 0:
-                mats[v] = linalg.zeros(rows, cols)
-            else:
-                mats[v] = linalg.matmul(self.mats[v], other.mats[v])
-        return Morphism(other.source, self.target, mats)
+        for v, cols in X.dim.items():
+            rows = Z.dim.get(v, 0)
+            if rows:
+                mats[v] = (linalg.matmul(self.mats[v], other.mats[v])
+                           if v in self.source.dim
+                           else linalg.zeros(rows, cols))
+        return Morphism(X, Z, mats)
 
     def is_invertible(self):
-        for v, m in self.mats.items():
-            r, c = linalg.shape(m)
-            if r != c:
-                return False
-            if r and linalg.rank(m) != r:
-                return False
-        return True
+        return (self.source.dim == self.target.dim
+                and all(linalg.rank(m) == len(m) for m in self.mats.values()))
 
 
 def hom_basis(M, N):
     """Basis of Hom(M, N) by solving all naturality squares."""
     if M.algebra is not N.algebra and M.algebra != N.algebra:
         raise ValueError("modules over different algebras")
-    A = M.algebra
-    verts = A.quiver.vertices
+    q = M.algebra.quiver
+    mdim, ndim = M.dim, N.dim
     offs = {}
     total = 0
-    for v in verts:
-        offs[v] = total
-        total += N.dim[v] * M.dim[v]
+    for v, c in mdim.items():
+        r = ndim.get(v, 0)
+        if r:
+            offs[v] = total
+            total += r * c
     if total == 0:
         return []
+    # only an arrow from M's support into N's support gives equations
+    arrows = [a for s in mdim for a in q.out[s] if q.tgt[a] in ndim]
+    arrows.sort(key=q.arrow_pos.__getitem__)
     rows = []
-    for a, s, t in A.quiver.arrows:
-        Ma, Na = M.mats[a], N.mats[a]
+    for a in arrows:
+        s, t = q.src[a], q.tgt[a]
+        ms, mt = mdim[s], mdim.get(t, 0)
+        ns, nt = ndim.get(s, 0), ndim[t]
+        Ma, Na = M.mats.get(a), N.mats.get(a)
         # equation: f_t * Ma - Na * f_s = 0  (dim N_t x dim M_s entries)
-        for i in range(N.dim[t]):
-            for j in range(M.dim[s]):
+        for i in range(nt):
+            for j in range(ms):
                 row = [ZERO] * total
                 # (f_t * Ma)[i][j] = sum_k f_t[i][k] Ma[k][j]
-                for k in range(M.dim[t]):
-                    if Ma[k][j]:
-                        row[offs[t] + i * M.dim[t] + k] += Ma[k][j]
+                if Ma is not None:
+                    for k in range(mt):
+                        if Ma[k][j]:
+                            row[offs[t] + i * mt + k] += Ma[k][j]
                 # (Na * f_s)[i][j] = sum_k Na[i][k] f_s[k][j]
-                for k in range(N.dim[s]):
-                    if Na[i][k]:
-                        row[offs[s] + k * M.dim[s] + j] -= Na[i][k]
+                if Na is not None:
+                    for k in range(ns):
+                        if Na[i][k]:
+                            row[offs[s] + k * ms + j] -= Na[i][k]
                 if any(row):
                     rows.append(row)
     if rows:
@@ -289,14 +362,23 @@ def hom_basis(M, N):
     out = []
     for sol in sols:
         mats = {}
-        for v in verts:
-            m = linalg.zeros(N.dim[v], M.dim[v])
-            for i in range(N.dim[v]):
-                for j in range(M.dim[v]):
-                    m[i][j] = sol[offs[v] + i * M.dim[v] + j]
-            mats[v] = m
+        for v, o in offs.items():
+            c = mdim[v]
+            mats[v] = [sol[o + i * c:o + (i + 1) * c] for i in range(ndim[v])]
         out.append(Morphism(M, N, mats))
     return out
+
+
+def _combination(M, N, coeffs, basis):
+    """sum c * f over the coefficients and basis morphisms M -> N."""
+    mats = {}
+    for v in basis[0].mats:
+        m = linalg.zeros(N.dim[v], M.dim[v])
+        for c, f in zip(coeffs, basis):
+            if c:
+                m = linalg.matadd(m, linalg.scale(f.mats[v], c))
+        mats[v] = m
+    return Morphism(M, N, mats)
 
 
 def is_isomorphic(M, N, seed=1729, tries=30):
@@ -315,17 +397,9 @@ def is_isomorphic(M, N, seed=1729, tries=30):
     if len(basis) == 1:
         return False
     rng = random.Random(seed)
-    verts = M.algebra.quiver.vertices
     for _ in range(tries):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
-        mats = {}
-        for v in verts:
-            m = linalg.zeros(N.dim[v], M.dim[v])
-            for c, f in zip(coeffs, basis):
-                if c:
-                    m = linalg.matadd(m, linalg.scale(f.mats[v], c))
-            mats[v] = m
-        if Morphism(M, N, mats).is_invertible():
+        if _combination(M, N, coeffs, basis).is_invertible():
             return True
     return False
 
@@ -333,21 +407,18 @@ def is_isomorphic(M, N, seed=1729, tries=30):
 # -- radical / top / covers --------------------------------------------
 
 def radical_columns(M):
-    """Per vertex: an independent set of columns spanning rad(M)_v."""
+    """Per vertex of the support: an independent set of columns spanning
+    rad(M)_v."""
+    q = M.algebra.quiver
     out = {}
-    for v in M.algebra.quiver.vertices:
+    for v, d in M.dim.items():
         cols = []
-        if M.dim[v] == 0:
-            out[v] = cols
-            continue
-        for a in M.algebra.quiver.inc[v]:
-            cols.extend(linalg.transpose(M.mats[a]))
-        if cols:
-            _, basis = linalg.column_space_basis(
-                linalg.columns_to_matrix(cols, M.dim[v]))
-        else:
-            basis = []
-        out[v] = basis
+        for a in q.inc[v]:
+            m = M.mats.get(a)
+            if m is not None:
+                cols.extend(linalg.transpose(m))
+        out[v] = (linalg.column_space_basis(
+            linalg.columns_to_matrix(cols, d))[1] if cols else [])
     return out
 
 
@@ -356,36 +427,30 @@ def top_generators(M):
     completing rad(M)_v to M_v."""
     gens = []
     rad = radical_columns(M)
-    for v in M.algebra.quiver.vertices:
-        if M.dim[v] == 0:
-            continue
-        chosen, _ = linalg.complement_basis(rad[v], M.dim[v])
+    for v, d in M.dim.items():
+        chosen, _ = linalg.complement_basis(rad[v], d)
         for i in chosen:
             gens.append((v, i))
     return gens
 
 
 class LabeledProjective:
-    """Direct sum of projectives P(w_j) with (block, path) labeled basis."""
+    """Direct sum of projectives P(w_j) with (block, path) labeled basis,
+    kept per vertex of its support."""
 
     def __init__(self, A, blocks):
         self.algebra = A
         self.blocks = list(blocks)
-        self.basis = {v: [] for v in A.quiver.vertices}
+        self.basis = {}
         for j, w in enumerate(self.blocks):
             for p in sorted(A.paths_from(w), key=lambda p: (len(p), p)):
-                self.basis[A.path_target(p, w)].append((j, p))
-        self.index = {v: {lab: i for i, lab in enumerate(b)}
-                      for v, b in self.basis.items()}
-        dim = {v: len(b) for v, b in self.basis.items()}
-        mats = {}
-        for a, s, t in A.quiver.arrows:
-            m = linalg.zeros(dim[t], dim[s])
-            for (j, p), col in self.index[s].items():
-                if A._extension_survives(p, a):
-                    m[self.index[t][(j, p + (a,))]][col] = ONE
-            mats[a] = m
-        self.rep = Representation(A, dim, mats, check=False)
+                self.basis.setdefault(A.path_target(p, w), []).append((j, p))
+
+        def step(label, a):
+            j, p = label
+            return (j, p + (a,)) if A._extension_survives(p, a) else None
+
+        self.rep, self.index = _paths_rep(A, self.basis, step)
 
 
 # labeled projectives kept per algebra before the store starts afresh
@@ -411,42 +476,46 @@ def cover_data(M):
     """Minimal projective cover of M with labels, plus the kernel.
 
     Returns (P: LabeledProjective, gens, K: Representation, E) where E
-    maps each vertex to the embedding matrix of K_v into P_v (columns in
-    P's labeled coordinates).
+    maps each vertex of P's support to the embedding matrix of K_v into
+    P_v (columns in P's labeled coordinates).
     """
     A = M.algebra
+    q = A.quiver
     gens = top_generators(M)
     P = _labeled_projective(A, [v for v, _ in gens])
     # kernel of the cover map, vertex by vertex
     E = {}
     kdim = {}
-    for x in A.quiver.vertices:
-        if P.rep.dim[x] == 0:
-            cols = []
-        elif M.dim[x] == 0:
-            cols = linalg.transpose(linalg.identity(P.rep.dim[x]))
-        else:
-            # cover map at x: labeled path (j, p) goes to p times generator j
-            pi = linalg.zeros(M.dim[x], P.rep.dim[x])
-            for col, (j, p) in enumerate(P.basis[x]):
-                w, idx = gens[j]
-                vec_matrix = M.act(p, w)  # M_w -> M_x
-                for i in range(M.dim[x]):
-                    if vec_matrix[i][idx]:
-                        pi[i][col] = vec_matrix[i][idx]
-            cols = linalg.nullspace(pi)
-        E[x] = linalg.columns_to_matrix(cols, P.rep.dim[x])
+    for x, n in P.rep.dim.items():
+        mx = M.dim.get(x, 0)
+        if mx == 0:
+            E[x] = linalg.identity(n)
+            kdim[x] = n
+            continue
+        # cover map at x: labeled path (j, p) goes to p times generator j
+        pi = linalg.zeros(mx, n)
+        for col, (j, p) in enumerate(P.basis[x]):
+            w, idx = gens[j]
+            vec_matrix = M.act(p, w)  # M_w -> M_x
+            for i in range(mx):
+                if vec_matrix[i][idx]:
+                    pi[i][col] = vec_matrix[i][idx]
+        cols = linalg.nullspace(pi)
+        E[x] = linalg.columns_to_matrix(cols, n)
         kdim[x] = len(cols)
     kmats = {}
-    for a, s, t in A.quiver.arrows:
-        if kdim[s] == 0 or P.rep.dim[t] == 0:
-            kmats[a] = linalg.zeros(kdim[t], kdim[s])
+    for s, ks in kdim.items():
+        if not ks:
             continue
-        rhs = linalg.matmul(P.rep.mats[a], E[s])
-        sol = linalg.solve(E[t], rhs) if kdim[t] else linalg.zeros(0, kdim[s])
-        if sol is None:
-            raise RuntimeError("kernel is not a subrepresentation (bug)")
-        kmats[a] = sol
+        for a in q.out[s]:
+            t = q.tgt[a]
+            if kdim.get(t):
+                rhs = linalg.matmul(P.rep.mats[a], E[s])
+                sol = linalg.solve(E[t], rhs)
+                if sol is None:
+                    raise RuntimeError(
+                        "kernel is not a subrepresentation (bug)")
+                kmats[a] = sol
     K = Representation(A, kdim, kmats, check=False)
     return P, gens, K, E
 
@@ -514,37 +583,48 @@ def resolution_of(M):
 
 
 def _hom_space_dim(blocks, N):
-    return sum(N.dim[v] for v in blocks)
+    get = N.dim.get
+    return sum(get(v, 0) for v in blocks)
+
+
+def _offsets(blocks, N):
+    """Start of each block's coordinates in Hom((+)P(blocks), N), and the
+    dimension of that space."""
+    get = N.dim.get
+    offs = []
+    o = 0
+    for v in blocks:
+        offs.append(o)
+        o += get(v, 0)
+    return offs, o
 
 
 def _differential(res, i, N):
     """Matrix of Hom(P_{i-1}, N) -> Hom(P_i, N), i >= 1."""
     blocks_prev = res.blocks(i - 1)
+    coffs, cols = _offsets(blocks_prev, N)
     if i >= len(res.levels):
-        return linalg.zeros(0, _hom_space_dim(blocks_prev, N))
+        return linalg.zeros(0, cols)
     blocks, pathmat = res.levels[i]
-    rows = _hom_space_dim(blocks, N)
-    cols = _hom_space_dim(blocks_prev, N)
+    roffs, rows = _offsets(blocks, N)
     out = linalg.zeros(rows, cols)
-    roffs = []
-    o = 0
-    for v in blocks:
-        roffs.append(o)
-        o += N.dim[v]
-    coffs = []
-    o = 0
-    for v in blocks_prev:
-        coffs.append(o)
-        o += N.dim[v]
+    get = N.dim.get
     for j, entry in enumerate(pathmat):
-        vj = blocks[j]
+        nr = get(blocks[j], 0)
+        if not nr:
+            continue
         for (jprev, p), c in entry.items():
             w = blocks_prev[jprev]
-            act = N.act(p, w)  # N_w -> N_{vj}
-            for r in range(N.dim[vj]):
-                for s in range(N.dim[w]):
-                    if act[r][s]:
-                        out[roffs[j] + r][coffs[jprev] + s] += c * act[r][s]
+            nc = get(w, 0)
+            if not nc:
+                continue
+            act = N.act(p, w)  # N_w -> N at block j
+            for r in range(nr):
+                orow = out[roffs[j] + r]
+                arow = act[r]
+                for s in range(nc):
+                    if arow[s]:
+                        orow[coffs[jprev] + s] += c * arow[s]
     return out
 
 
@@ -554,9 +634,10 @@ def hom_dim(M, N):
         return 0
     res = resolution_of(M)
     res.extend_to(1)
-    d0 = _differential(res, 1, N)
     cols = _hom_space_dim(res.blocks(0), N)
-    return cols - linalg.rank(d0)
+    if cols == 0:
+        return 0
+    return cols - linalg.rank(_differential(res, 1, N))
 
 
 def ext_dim(M, N, i, cap=32):
@@ -571,9 +652,11 @@ def ext_dim(M, N, i, cap=32):
     res.extend_to(i + 1, cap=cap)
     if i >= len(res.levels):
         return 0
+    dim_i = _hom_space_dim(res.blocks(i), N)
+    if dim_i == 0:  # Ext^i is a subquotient of Hom(P_i, N)
+        return 0
     d_i = _differential(res, i + 1, N)
     d_prev = _differential(res, i, N)
-    dim_i = _hom_space_dim(res.blocks(i), N)
     return (dim_i - linalg.rank(d_i)) - linalg.rank(d_prev)
 
 
@@ -626,46 +709,41 @@ def transpose_module(M):
                 if iprev == i:
                     vec[Q.index[w][(j, tuple(reversed(p)))]] += c
         gen_vecs.append((w, vec))
-    # full matrices of g per vertex: domain basis = (i, q) op-paths from w_i
+    # cokernel of g: (+)P^op(w_i) -> Q as a quotient representation of
+    # Q, vertex by vertex; the domain basis at x is the (i, q) op-paths
+    # from w_i to x
     D = _labeled_projective(B, blocks0)
-    g = {}
-    for x in B.quiver.vertices:
-        m = linalg.zeros(Q.rep.dim[x], D.rep.dim[x])
-        for col, (i, q) in enumerate(D.basis[x]):
-            w, vec = gen_vecs[i]
-            act = Q.rep.act(q, w)  # Q_w -> Q_x over B
-            for r in range(Q.rep.dim[x]):
-                s = ZERO
-                for kk in range(Q.rep.dim[w]):
-                    if act[r][kk] and vec[kk]:
-                        s += act[r][kk] * vec[kk]
-                m[r][col] = s
-        g[x] = m
-    # cokernel of g as a quotient representation of Q
     sel = {}
     proj = {}
-    qdim = {}
-    for x in B.quiver.vertices:
-        n = Q.rep.dim[x]
-        _, im_cols = linalg.column_space_basis(g[x])
-        chosen, T = linalg.complement_basis(im_cols, n)
-        qdim[x] = len(chosen)
-        sel[x] = chosen
-        if n:
-            Tinv = linalg.invert(T)
-            proj[x] = [Tinv[len(im_cols) + r] for r in range(len(chosen))]
+    for x, n in Q.rep.dim.items():
+        im_cols = []
+        if x in D.basis:
+            g = linalg.zeros(n, len(D.basis[x]))
+            for col, (i, q) in enumerate(D.basis[x]):
+                w, vec = gen_vecs[i]
+                act = Q.rep.act(q, w)  # Q_w -> Q_x over B
+                for r in range(n):
+                    s = ZERO
+                    for kk in range(Q.rep.dim[w]):
+                        if act[r][kk] and vec[kk]:
+                            s += act[r][kk] * vec[kk]
+                    g[r][col] = s
+            _, im_cols = linalg.column_space_basis(g)
+        if im_cols:
+            sel[x], T = linalg.complement_basis(im_cols, n)
+            proj[x] = linalg.invert(T)[len(im_cols):]
         else:
-            proj[x] = []
+            sel[x], proj[x] = list(range(n)), linalg.identity(n)
+    qdim = {x: len(c) for x, c in sel.items()}
     mats = {}
-    for a, s, t in B.quiver.arrows:
-        m = linalg.zeros(qdim[t], qdim[s])
-        if qdim[s] and qdim[t]:
-            incl = linalg.zeros(Q.rep.dim[s], qdim[s])
-            for c, i in enumerate(sel[s]):
-                incl[i][c] = ONE
-            mid = linalg.matmul(Q.rep.mats[a], incl)
-            m = linalg.matmul(proj[t], mid)
-        mats[a] = m
+    for s, chosen in sel.items():
+        if not chosen:
+            continue
+        for a in B.quiver.out[s]:
+            t = B.quiver.tgt[a]
+            if qdim.get(t):
+                mid = [[row[i] for i in chosen] for row in Q.rep.mats[a]]
+                mats[a] = linalg.matmul(proj[t], mid)
     return Representation(B, qdim, mats, check=False)
 
 
@@ -690,32 +768,33 @@ def tau_n(M, n, direction):
 
 def subrepresentation(M, cols_by_vertex):
     """Abstract representation on a subspace given by embedding columns."""
-    A = M.algebra
-    dim = {v: len(cols_by_vertex.get(v, [])) for v in A.quiver.vertices}
-    E = {v: linalg.columns_to_matrix(cols_by_vertex.get(v, []), M.dim[v])
-         for v in A.quiver.vertices}
+    q = M.algebra.quiver
+    dim = {v: len(cols) for v, cols in cols_by_vertex.items() if cols}
+    E = {v: linalg.columns_to_matrix(cols_by_vertex[v], M.dim[v])
+         for v in dim}
     mats = {}
-    for a, s, t in A.quiver.arrows:
-        if dim[s] == 0 or M.dim[t] == 0:
-            mats[a] = linalg.zeros(dim[t], dim[s])
-            continue
-        rhs = linalg.matmul(M.mats[a], E[s])
-        sol = linalg.solve(E[t], rhs) if dim[t] else (
-            linalg.zeros(0, dim[s]) if linalg.is_zero_matrix(rhs) else None)
-        if sol is None:
+    for s in dim:
+        for a in q.out[s]:
+            t = q.tgt[a]
+            if not M.dim[t]:
+                continue
+            rhs = linalg.matmul(M.mats[a], E[s])
+            if t in dim:
+                sol = linalg.solve(E[t], rhs)
+                if sol is not None:
+                    mats[a] = sol
+                    continue
+            elif linalg.is_zero_matrix(rhs):
+                continue
             raise ValueError("columns do not span a subrepresentation")
-        mats[a] = sol
-    return Representation(A, dim, mats, check=False)
+    return Representation(M.algebra, dim, mats, check=False)
 
 
 def _endo_power(f, n):
-    mats = {v: linalg.copy_matrix(m) for v, m in f.mats.items()}
-    result = mats
-    # binary powering per vertex
+    """The n-th power of an endomorphism, per vertex, by binary powering."""
     out = {}
-    for v, m in mats.items():
-        r, _ = linalg.shape(m)
-        acc = linalg.identity(r)
+    for v, m in f.mats.items():
+        acc = linalg.identity(len(m))
         base = m
         e = n
         while e:
@@ -733,11 +812,7 @@ def _try_split(M, endo):
     kcols = {}
     icols = {}
     kdim = 0
-    for v in M.algebra.quiver.vertices:
-        if M.dim[v] == 0:
-            kcols[v] = []
-            icols[v] = []
-            continue
+    for v in M.dim:
         kcols[v] = linalg.nullspace(pw[v])
         _, icols[v] = linalg.column_space_basis(pw[v])
         kdim += len(kcols[v])
@@ -758,18 +833,16 @@ def _split_candidates(M, endos, seed):
     rng = random.Random(seed)
     for _ in range(60):
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in endos]
-        mats = {}
-        for v in M.algebra.quiver.vertices:
-            m = linalg.zeros(M.dim[v], M.dim[v])
-            for c, f in zip(coeffs, endos):
-                if c:
-                    m = linalg.matadd(m, linalg.scale(f.mats[v], c))
-            mats[v] = m
-        yield Morphism(M, M, mats)
+        yield _combination(M, M, coeffs, endos)
 
 
 def decompose(M, seed=1729):
-    """List of indecomposable summands (with repetition) by Fitting splits."""
+    """List of indecomposable summands (with repetition) by Fitting splits.
+
+    M comes back unsplit, as [M], only when hom_basis(M, M) has one
+    element, i.e. when M is a brick; an indecomposable that is not a brick
+    raises DecompositionError.
+    """
     if M.is_zero():
         return []
     endos = hom_basis(M, M)
@@ -799,15 +872,17 @@ def decompose_with_multiplicity(M, seed=1729):
 
 def rep_to_json(M):
     """Dump format: dimension vector plus matrices of rational strings."""
-    dims = {v: d for v, d in M.dim.items() if d}
+    dims = dict(M.dim)
     mats = {}
     for a, m in M.mats.items():
-        if m and any(x for row in m for x in row):
+        if any(x for row in m for x in row):
             mats[a] = [[str(x) for x in row] for row in m]
     return {"dims": dims, "mats": mats}
 
 
 def rep_from_json(A, doc):
+    """Inverse of ``rep_to_json``; ValueError for vertex or arrow names
+    that A does not have and for negative dimensions."""
     dims = {str(v): int(d) for v, d in doc.get("dims", {}).items()}
     mats = {}
     for a, m in doc.get("mats", {}).items():
@@ -838,11 +913,10 @@ def _uniserial(A, v, path):
         pos_at.setdefault(w, []).append(j)
     dims = {w: len(ps) for w, ps in pos_at.items()}
     mats = {}
-    for a, s, t in q.arrows:
-        if s in pos_at and t in pos_at:
-            m = [[0 * linalg.ONE] * dims[s] for _ in range(dims[t])]
-            for j, arr in enumerate(path):
-                if arr == a:
-                    m[pos_at[t].index(j + 1)][pos_at[s].index(j)] = linalg.ONE
-            mats[a] = m
+    for j, a in enumerate(path):
+        s, t = q.src[a], q.tgt[a]
+        m = mats.get(a)
+        if m is None:
+            m = mats[a] = linalg.zeros(dims[t], dims[s])
+        m[pos_at[t].index(j + 1)][pos_at[s].index(j)] = ONE
     return Representation(A, dims, mats, check=True)

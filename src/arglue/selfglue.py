@@ -192,14 +192,12 @@ def push_down(M, sg):
     A, L = sg.base, sg.presentation
     pieces_v = {}
     for v in sorted(M.dim, key=lambda v: (sg.rank[v], v)):
-        if M.dim[v]:
-            pieces_v.setdefault(sg.vertex_map[v], []).append((v, M.dim[v]))
+        pieces_v.setdefault(sg.vertex_map[v], []).append((v, M.dim[v]))
     pieces_a = {}
     q = A.quiver
     for a, block in M.mats.items():
-        s, t = q.src[a], q.tgt[a]
-        if M.dim.get(s) and M.dim.get(t):
-            pieces_a.setdefault(sg.arrow_map[a], []).append((t, s, block))
+        pieces_a.setdefault(sg.arrow_map[a], []).append(
+            (q.tgt[a], q.src[a], block))
     return _assemble(L, pieces_v, pieces_a)
 
 
@@ -235,7 +233,7 @@ def cover_window(A, witness, k):
 
 
 def _window_copies(M, win):
-    return {win.period_vertices[v][0] for v, d in M.dim.items() if d}
+    return {win.period_vertices[v][0] for v in M.dim}
 
 
 def _push_down_window(M, win, sg):
@@ -243,17 +241,14 @@ def _push_down_window(M, win, sg):
     L = sg.presentation
     pieces_v = {}
     for cv in sorted(M.dim, key=lambda cv: win.period_vertices[cv]):
-        if M.dim[cv]:
-            z, orig = win.period_vertices[cv]
-            pieces_v.setdefault(sg.vertex_map[orig], []).append(
-                (cv, M.dim[cv]))
+        _, orig = win.period_vertices[cv]
+        pieces_v.setdefault(sg.vertex_map[orig], []).append((cv, M.dim[cv]))
     pieces_a = {}
     q = win.presentation.quiver
     for ca, block in M.mats.items():
-        s, t = q.src[ca], q.tgt[ca]
-        if M.dim.get(s) and M.dim.get(t):
-            _, orig = win.period_arrows[ca]
-            pieces_a.setdefault(sg.arrow_map[orig], []).append((t, s, block))
+        _, orig = win.period_arrows[ca]
+        pieces_a.setdefault(sg.arrow_map[orig], []).append(
+            (q.tgt[ca], q.src[ca], block))
     return _assemble(L, pieces_v, pieces_a)
 
 

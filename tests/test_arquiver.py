@@ -3,7 +3,8 @@ import random
 import pytest
 
 from arglue import arquiver, replab
-from arglue.core import KupischSeries, linear_a, nakayama, starlike
+from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
+                         linear_a, nakayama, starlike)
 from arglue.gluing import GluingSpec, glue
 from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
                       orbit_four_fixture, rad2_chain, random_acyclic_series,
@@ -141,3 +142,18 @@ def test_linear_a_ar_quiver_triangle():
     # kA_h has h(h+1)/2 indecomposables
     for h in range(1, 6):
         assert len(arquiver.indecomposables(linear_a(h))) == h * (h + 1) // 2
+
+
+def test_non_brick_inputs_fail_during_enumeration():
+    # off a cycle quiver the brick check trusts enumeration: a non-brick
+    # indecomposable resists decompose's Fitting splits
+    loop = BoundQuiverPresentation(
+        Quiver(["1", "2"], [("l", "1", "1"), ("a", "1", "2")]), [("l", "l")])
+    two_cycle = BoundQuiverPresentation(
+        Quiver(["1", "2", "3"],
+               [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "3")]),
+        [("b", "a"), ("a", "b", "a"), ("b", "c")])
+    for A in (loop, two_cycle):
+        with pytest.raises(replab.DecompositionError,
+                           match="Fitting decomposition failed"):
+            arquiver.ar_quiver(A)

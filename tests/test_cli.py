@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from arglue.cli import run
-from arglue.core import KupischSeries, kupisch_of, parse_algebra
+from arglue.core import KupischSeries, kupisch_of, linear_a, parse_algebra
 from conftest import branched_ten, chain_four
 
 
@@ -93,6 +93,21 @@ def test_bad_arguments_are_input_errors():
     assert run(["nakayama", "--kupisch", "two,one", "emit"])[0] == 3
     assert run(["starlike", "--arms", "5:sideways", "classify",
                 "-n", "2"])[0] == 3
+
+
+def test_check_nct_modules_with_unknown_names_is_input_error(tmp_path,
+                                                            capsys):
+    alg = tmp_path / "a3.json"
+    alg.write_text(json.dumps(linear_a(3).to_json()))
+    mods = tmp_path / "modules.json"
+    mods.write_text(json.dumps(
+        [{"dims": {"zz": 2, "1": 1}, "mats": {"nope": [["1"]]}}]))
+    code, _ = run(["check", "nct", str(alg), "--modules", str(mods),
+                   "-n", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "unknown vertices ['zz']" in err
+    assert "Traceback" not in err
 
 
 def test_glue_pair(chain_file, branched_file, tmp_path):

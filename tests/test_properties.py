@@ -1,13 +1,14 @@
 """Property-based invariants over randomly generated inputs."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arglue import arquiver
 from arglue import fracture as fx
-from arglue import replab
+from arglue import linalg, replab
 from arglue.core import (KupischSeries, kupisch_of, linear_a, nakayama,
                          opposite)
 from arglue.gluing import GluingSpec, glue
@@ -110,3 +111,28 @@ def test_opposite_swaps_abutment_sides(s):
     assert left == right_op
     assert len(arquiver.indecomposables(A)) \
         == len(arquiver.indecomposables(B))
+
+
+def _greedy_complement(cols, dim):
+    """Reference: try each standard vector in turn, keep it when it raises
+    the rank."""
+    chosen, current = [], list(cols)
+    for i in range(dim):
+        e = [linalg.ONE if j == i else linalg.ZERO for j in range(dim)]
+        if (linalg.rank(linalg.columns_to_matrix(current + [e], dim))
+                > len(current)):
+            chosen.append(i)
+            current.append(e)
+    return chosen, linalg.columns_to_matrix(current, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_complement_basis_matches_greedy_rank_choice(dim, k, seed):
+    rng = random.Random(seed)
+    cols = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+            for _ in range(k)]
+    if cols:
+        _, cols = linalg.column_space_basis(
+            linalg.columns_to_matrix(cols, dim))
+    assert linalg.complement_basis(cols, dim) == _greedy_complement(cols, dim)

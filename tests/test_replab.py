@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from arglue import replab
-from arglue.core import KupischSeries, nakayama
+from arglue import arquiver, replab
+from arglue.core import KupischSeries, linear_a, nakayama, starlike
 from conftest import branched_ten, chain_four, rad2_chain
 
 
@@ -119,3 +119,63 @@ def test_chain_four_has_nine_indecomposables_worth_of_homs():
     assert P0.total_dim() == 3  # the length-3 relation truncates it
     I3 = replab.injective(A, "3")
     assert I3.total_dim() == 3
+
+
+def test_rep_from_json_rejects_unknown_names_and_negative_dims():
+    A = linear_a(3)
+    doc = {"dims": {"zz": 2, "1": 1}, "mats": {"nope": [["1"]]}}
+    with pytest.raises(ValueError, match=r"unknown vertices \['zz'\]; "
+                       r"unknown arrows \['nope'\]"):
+        replab.rep_from_json(A, doc)
+    with pytest.raises(ValueError, match=r"negative dimensions at \['2'\]"):
+        replab.rep_from_json(A, {"dims": {"1": 1, "2": -1}})
+
+
+def test_check_rejects_bad_shapes_off_the_support_and_relations():
+    A = rad2_chain(3)  # 1 -a1-> 2 -a2-> 3, a1 a2 = 0
+    one = replab.ONE
+    # a1 starts outside the support {2}: its matrix must be 1 x 0
+    replab.Representation(A, {"2": 1}, {"a1": [[]]})
+    with pytest.raises(ValueError, match="shape for arrow a1"):
+        replab.Representation(A, {"2": 1}, {"a1": [[one]]})
+    with pytest.raises(ValueError, match="does not annihilate"):
+        replab.Representation(A, {"1": 1, "2": 1, "3": 1},
+                              {"a1": [[one]], "a2": [[one]]})
+
+
+def _sparse_store_modules():
+    """Indecomposables of three algebras with their covers, syzygies,
+    cosyzygies, translates, duals and a few direct sums."""
+    cyclic = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))
+    star = starlike([(3, "out"), (2, "in"), (2, "out")])
+    for A, ind in ((chain_four(), arquiver.indecomposables(chain_four())),
+                   (cyclic, replab.uniserial_modules(cyclic)),
+                   (star, arquiver.indecomposables(star))):
+        for X in ind:
+            P, _, K, _ = replab.cover_data(X)
+            yield from (X, P.rep, K, replab.dual(X))
+            for d in "+-":
+                yield replab.syzygy(X, d, 1)
+                yield replab.ar_translate(X, d)
+        for X, Y in zip(ind, ind[1:] + ind[:1]):
+            yield replab.direct_sum(X.algebra, [X, Y, X])
+
+
+def test_sparse_store_agrees_with_dense_reading():
+    for M in _sparse_store_modules():
+        A = M.algebra
+        q = A.quiver
+        sup = M.support()
+        assert all(M.dim.values())
+        assert list(M.dim) == [v for v in q.vertices if v in sup]
+        assert list(M.mats) == [a for a, s, t in q.arrows
+                                if s in sup and t in sup]
+        assert M.dim_vector() == tuple(M.dim[v] for v in q.vertices)
+        assert M.total_dim() == sum(M.dim[v] for v in q.vertices)
+        for s, t, p in A.all_paths():
+            m = M.act(p, s)
+            assert len(m) == M.dim[t]
+            assert all(len(row) == M.dim[s] for row in m)
+        doc = replab.rep_to_json(M)
+        back = replab.rep_from_json(A, doc)
+        assert back.dim == M.dim and replab.rep_to_json(back) == doc
