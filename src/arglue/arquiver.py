@@ -339,10 +339,16 @@ def is_representation_directed(A, cap=4096):
     if not complete:
         return False, {"reason": "some injective unreachable from projectives"}
     n = len(reps)
+    at = {}  # vertex -> indices of the modules non-zero there
+    for j, rep in enumerate(reps):
+        for v in rep.support():
+            at.setdefault(v, []).append(j)
     adj = {i: [] for i in range(n)}
     indeg = {i: 0 for i in range(n)}
     for i in range(n):
-        for j in range(n):
+        # Hom(reps[i], N) = 0 unless N is non-zero at a top of reps[i]
+        tops = replab.resolution_tops(reps[i], 0)
+        for j in sorted({j for v in tops for j in at.get(v, ())}):
             if i != j and replab.hom_dim(reps[i], reps[j]):
                 adj[i].append(j)
                 indeg[j] += 1

@@ -52,17 +52,13 @@ def _left_tail_from(A, v):
         # interior chain vertices may receive nothing except the chain arrow
         if len(q.inc[nxt]) != 1:
             return None
-        if not A.is_relation_free(tuple(arrows) + (a,)):
+        # the chain so far is relation-free: only a relation ending in a
+        # can appear
+        if not A._extension_survives(tuple(arrows), a):
             return None
         arrows.append(a)
         tail.append(nxt)
         cur = nxt
-    # chain must be entirely relation-free (no relation inside it at all)
-    full = tuple(arrows)
-    for r in A.relations:
-        for i in range(len(full) - len(r) + 1):
-            if full[i:i + len(r)] == r:
-                return None
     return tail
 
 

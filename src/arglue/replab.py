@@ -386,7 +386,9 @@ def is_isomorphic(M, N, seed=1729, tries=30):
         return False
     if M.dim != N.dim:
         return False
-    if M.total_dim() == 0:
+    # equal dimensions give equal arrow keys, so equal matrices mean the
+    # identity is an isomorphism
+    if M is N or M.mats == N.mats:
         return True
     basis = hom_basis(M, N)
     if not basis:
@@ -582,6 +584,15 @@ def resolution_of(M):
     return M._resolution
 
 
+def resolution_tops(M, i, cap=32):
+    """Top vertices of P_i, the i-th term of the minimal projective
+    resolution of M ([] past its end and for M = 0).  Hom(P_i, N), and
+    so Ext^i(M, N), vanishes unless N is non-zero at one of them."""
+    res = resolution_of(M)
+    res.extend_to(i + 1, cap=cap)
+    return res.blocks(i)
+
+
 def _hom_space_dim(blocks, N):
     get = N.dim.get
     return sum(get(v, 0) for v in blocks)
@@ -632,12 +643,10 @@ def hom_dim(M, N):
     """dim Hom(M, N) via the start of the Hom complex (no solving)."""
     if M.is_zero() or N.is_zero():
         return 0
-    res = resolution_of(M)
-    res.extend_to(1)
-    cols = _hom_space_dim(res.blocks(0), N)
+    cols = _hom_space_dim(resolution_tops(M, 0), N)
     if cols == 0:
         return 0
-    return cols - linalg.rank(_differential(res, 1, N))
+    return cols - linalg.rank(_differential(resolution_of(M), 1, N))
 
 
 def ext_dim(M, N, i, cap=32):
@@ -648,13 +657,10 @@ def ext_dim(M, N, i, cap=32):
         return hom_dim(M, N)
     if M.is_zero() or N.is_zero():
         return 0
-    res = resolution_of(M)
-    res.extend_to(i + 1, cap=cap)
-    if i >= len(res.levels):
-        return 0
-    dim_i = _hom_space_dim(res.blocks(i), N)
+    dim_i = _hom_space_dim(resolution_tops(M, i, cap), N)
     if dim_i == 0:  # Ext^i is a subquotient of Hom(P_i, N)
         return 0
+    res = resolution_of(M)
     d_i = _differential(res, i + 1, N)
     d_prev = _differential(res, i, N)
     return (dim_i - linalg.rank(d_i)) - linalg.rank(d_prev)

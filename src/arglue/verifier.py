@@ -115,8 +115,40 @@ def tau_orbit_candidate(A, n, seed=None, cap=4096):
     return Subcategory(A, out, dedupe=False)
 
 
+def _pairs_into(X, n, members_at, first):
+    """The (k, i), 0 < i < n, with Ext^i(X, members[k]) possibly non-zero,
+    in (k, i) order.  X's resolution is extended degree by degree while
+    the pairs of the first non-zero member are visited, as a sweep over
+    every pair does; where it exceeds its cap, that pair is still given,
+    so that ``ext_dim`` raises there."""
+    if first is None:
+        return
+    later = set()
+    for i in range(1, n):
+        try:
+            tops = replab.resolution_tops(X, i)
+        except replab.ResolutionCapError:
+            yield first, i
+            return
+        ks = {k for v in tops for k in members_at.get(v, ())}
+        if first in ks:
+            yield first, i
+        later.update((k, i) for k in ks if k != first)
+    yield from sorted(later)
+
+
 def check_nct(A, M, n, indecs=None, report_all=False):
-    """Direct Ext-orthogonality check that add(M) is n-cluster tilting."""
+    """Direct Ext-orthogonality check that add(M) is n-cluster tilting.
+
+    Ext^i(X, Y) is a subquotient of Hom(P_i, Y), where P_i is the i-th
+    term of the minimal projective resolution of X, so it vanishes unless
+    Y is non-zero at a top vertex of P_i (``replab.resolution_tops``).
+    Only the (member, degree) pairs that pass this test are computed, in
+    member-then-degree order, so the first witness is the one a sweep over
+    every pair finds.  A resolution that exceeds its cap is visited where
+    that sweep would first reach it, so ``ResolutionCapError`` surfaces
+    as it would there.
+    """
     report = VerificationReport("n-cluster-tilting", n)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -143,38 +175,52 @@ def check_nct(A, M, n, indecs=None, report_all=False):
                   f"{len(missing)} missing" if missing else "all present")
     if missing and not report_all:
         return report
+    members = M.modules
+    members_at = {}  # vertex -> indices of the members non-zero there
+    for k, Y in enumerate(members):
+        for v in Y.support():
+            members_at.setdefault(v, []).append(k)
+    first = next((k for k, Y in enumerate(members) if not Y.is_zero()), None)
     # rigidity: Ext^{1..n-1}(M, M) = 0
     rigid = True
-    for X in M.modules:
-        for Y in M.modules:
-            for i in range(1, n):
-                if replab.ext_dim(X, Y, i):
-                    rigid = False
-                    report.witness(
-                        "rigidity",
-                        f"Ext^{i} nonzero between members "
-                        f"{X.dim_vector()} -> {Y.dim_vector()}", X)
-                    break
-            if not rigid:
-                break
-        if not rigid:
+    for X in members:
+        hit = next(((k, i) for k, i in _pairs_into(X, n, members_at, first)
+                    if replab.ext_dim(X, members[k], i)), None)
+        if hit is not None:
+            rigid = False
+            k, i = hit
+            report.witness(
+                "rigidity",
+                f"Ext^{i} nonzero between members "
+                f"{X.dim_vector()} -> {members[k].dim_vector()}", X)
             break
     report.record("rigidity", rigid)
     if not rigid and not report_all:
         return report
     # maximality: every excluded indecomposable has nonzero Ext into M
     # and nonzero Ext from M, in some degree 0 < i < n
+    tops_at = {}  # vertex -> (k, i) with the vertex a top of P_i(members[k])
+    capped = []   # (k, i) where members[k]'s resolution exceeds its cap
+    for k, Y in enumerate(members):
+        for i in range(1, n):
+            try:
+                tops = replab.resolution_tops(Y, i)
+            except replab.ResolutionCapError:
+                capped.append((k, i))
+                break
+            for v in tops:
+                tops_at.setdefault(v, []).append((k, i))
     maximal = True
     for X in indecs:
         if M.contains(X):
             continue
-        into = any(replab.ext_dim(X, Y, i)
-                   for Y in M.modules for i in range(1, n))
-        outof = into and any(replab.ext_dim(Y, X, i)
-                             for Y in M.modules for i in range(1, n))
-        if not into:
-            outof = any(replab.ext_dim(Y, X, i)
-                        for Y in M.modules for i in range(1, n))
+        into = any(replab.ext_dim(X, members[k], i)
+                   for k, i in _pairs_into(X, n, members_at, first))
+        pairs = set(capped)
+        for v in X.support():
+            pairs.update(tops_at.get(v, ()))
+        outof = any(replab.ext_dim(members[k], X, i)
+                    for k, i in sorted(pairs))
         if not (into and outof):
             maximal = False
             side = [] if into else ["Ext(X, M) = 0"]

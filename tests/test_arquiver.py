@@ -131,6 +131,40 @@ def test_is_representation_directed():
     assert not ok and "cycle" in detail["reason"]
 
 
+def _all_pairs_directed(A):
+    """The certificate from the full Hom table, one hom_dim per pair."""
+    reps, complete, capped, _ = arquiver._enumerate(A)
+    assert complete and not capped
+    n = len(reps)
+    adj = {i: [] for i in range(n)}
+    indeg = {i: 0 for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j and replab.hom_dim(reps[i], reps[j]):
+                adj[i].append(j)
+                indeg[j] += 1
+    queue = [i for i in range(n) if indeg[i] == 0]
+    topo = []
+    while queue:
+        i = queue.pop()
+        topo.append(i)
+        for j in adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if len(topo) == n:
+        return True, {"order": topo, "count": n}
+    return False, {"reason": "Hom digraph has a cycle",
+                   "cycle_members": [i for i in range(n) if indeg[i] > 0]}
+
+
+def test_directedness_matches_all_pairs_hom_table():
+    corpus = _knit_corpus()
+    got = [arquiver.is_representation_directed(A) for A in corpus]
+    assert got == [_all_pairs_directed(A) for A in corpus]
+    assert sum(not ok for ok, _ in got) == 3  # the three cyclic quivers
+
+
 def test_to_dot_output():
     ar = arquiver.ar_quiver(rad2_chain(3))
     dot = arquiver.to_dot(ar)

@@ -2,8 +2,12 @@ import pytest
 
 from arglue import arquiver
 from arglue import fracture as fx
-from arglue.core import AlgebraError, KupischSeries, nakayama
-from conftest import branched_ten, left_ab, rad2_chain, right_ab
+from arglue.core import (AlgebraError, KupischSeries, linear_a, nakayama,
+                         starlike)
+from arglue.gluing import GluingSpec, glue
+from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
+                      orbit_four_fixture, rad2_chain, random_acyclic_series,
+                      right_ab)
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 
@@ -125,3 +129,59 @@ def test_compatible_pair(A):
     J = right_ab(A, "2")
     ok, reason = fx.compatible_pair(fr, W, J, P, I)
     assert ok, reason
+
+
+def _whole_chain_walk(A, v):
+    """The walk that re-tests the whole chain against every relation at
+    each step and once more at the end."""
+    q = A.quiver
+    tail = [v]
+    arrows = []
+    cur = v
+    while q.out[cur]:
+        if len(q.out[cur]) > 1:
+            return None
+        a = q.out[cur][0]
+        nxt = q.tgt[a]
+        if nxt in tail:
+            return None
+        if len(q.inc[nxt]) != 1:
+            return None
+        if not A.is_relation_free(tuple(arrows) + (a,)):
+            return None
+        arrows.append(a)
+        tail.append(nxt)
+        cur = nxt
+    full = tuple(arrows)
+    for r in A.relations:
+        for i in range(len(full) - len(r) + 1):
+            if full[i:i + len(r)] == r:
+                return None
+    return tail
+
+
+def test_abutments_match_whole_chain_walk(rng, monkeypatch):
+    algebras = [nakayama(KupischSeries([2, 2, 1])), chain_four(),
+                branched_ten(), fold_fixture(), orbit_four_fixture()]
+    algebras += [rad2_chain(m) for m in (3, 4, 5)]
+    algebras += [nakayama(random_acyclic_series(rng)) for _ in range(20)]
+    algebras += [nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))]
+    algebras += [starlike(rays) for rays in (
+        [(4, "out"), (4, "out"), (3, "in")], [(5, "in")],
+        [(4, "out"), (3, "in"), (2, "in")],
+        [(3, "out"), (3, "out"), (3, "in"), (3, "in")])]
+    for A in algebras[5:8]:
+        P = next(ab for ab in fx.abutments(A, "left") if ab.maximal)
+        H = linear_a(P.height)
+        I = next(ab for ab in fx.abutments(H, "right")
+                 if ab.height == P.height)
+        algebras.append(glue(GluingSpec(A, P, H, I)).presentation)
+
+    def view(A, side):
+        return [(ab.side, ab.anchor, ab.tail, ab.maximal)
+                for ab in fx.abutments(A, side)]
+
+    got = [view(A, side) for A in algebras for side in ("left", "right")]
+    monkeypatch.setattr(fx, "_left_tail_from", _whole_chain_walk)
+    want = [view(A, side) for A in algebras for side in ("left", "right")]
+    assert got == want

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from arglue import arquiver, replab
+from arglue import arquiver, linalg, replab
 from arglue.core import KupischSeries, linear_a, nakayama, starlike
 from conftest import branched_ten, chain_four, rad2_chain
 
@@ -102,7 +102,7 @@ def test_rep_json_round_trip(A):
     assert Fraction(doc["mats"]["a1"][0][0]) == 1
 
 
-def test_uniserial_modules_count():
+def test_uniserial_modules_count(monkeypatch):
     s = KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True)
     A = nakayama(s)
     uni = replab.uniserial_modules(A)
@@ -111,6 +111,43 @@ def test_uniserial_modules_count():
     for i, M in enumerate(uni):
         for N in uni[i + 1:]:
             assert not replab.is_isomorphic(M, N)
+    # the same dimensions with other matrices still go through Hom solving
+    solved = []
+    hom_basis = replab.hom_basis
+    monkeypatch.setattr(replab, "hom_basis",
+                        lambda M, N: solved.append(1) or hom_basis(M, N))
+    for M in uni:
+        for a in M.mats:
+            scaled = dict(M.mats, **{a: linalg.scale(M.mats[a], 2)})
+            assert replab.is_isomorphic(
+                M, replab.Representation(A, M.dim, scaled))
+    arrows = sum(len(M.mats) for M in uni)
+    assert arrows and len(solved) == arrows
+    L = linear_a(2)
+    line = [replab.Representation(L, {"1": 1, "2": 1}, {"a1": [[c]]})
+            for c in (replab.ZERO, replab.ONE, Fraction(2))]
+    assert not replab.is_isomorphic(line[0], line[1])
+    assert replab.is_isomorphic(line[1], line[2])
+    assert len(solved) == arrows + 2
+
+
+def test_is_isomorphic_answers_equal_matrices_without_hom_solving(
+        monkeypatch):
+    A, twin = chain_four(), chain_four()
+    ind = arquiver.indecomposables(A)
+
+    def no_solving(M, N):
+        raise AssertionError("hom_basis reached")
+
+    monkeypatch.setattr(replab, "hom_basis", no_solving)
+    for M in ind:
+        rebuilt = {a: [list(row) for row in m] for a, m in M.mats.items()}
+        assert replab.is_isomorphic(M, M)
+        assert replab.is_isomorphic(
+            M, replab.Representation(A, dict(M.dim), rebuilt))
+        assert replab.is_isomorphic(
+            M, replab.Representation(twin, dict(M.dim), rebuilt))
+    assert replab.is_isomorphic(replab.zero_rep(A), replab.zero_rep(twin))
 
 
 def test_chain_four_has_nine_indecomposables_worth_of_homs():

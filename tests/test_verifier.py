@@ -6,7 +6,8 @@ from arglue import arquiver
 from arglue import fracture as fx
 from arglue import replab
 from arglue.core import KupischSeries, kupisch_of, nakayama, starlike
-from arglue.verifier import (Subcategory, check_fractured, check_nct,
+from arglue.verifier import (Subcategory, VerificationReport,
+                             check_fractured, check_nct,
                              generate_sinks_sources, starlike_classify,
                              starlike_rep_finite, tau_orbit_candidate)
 
@@ -126,3 +127,99 @@ def test_check_nct_with_precomputed_indecs(A):
     ind = arquiver.indecomposables(A)
     cand = tau_orbit_candidate(A, 2)
     assert check_nct(A, cand, 2, indecs=ind).verdict
+
+
+def _pairwise_check_nct(A, M, n, indecs, report_all):
+    """The Ext sweep over every (member, member, degree) and (excluded,
+    member, degree) triple, as check_nct ran it before it skipped the
+    pairs whose Ext vanishes by the resolution tops."""
+    report = VerificationReport("n-cluster-tilting", n)
+    missing = []
+    for v in sorted(A.quiver.vertices):
+        for kind, mod in (("projective", replab.projective(A, v)),
+                          ("injective", replab.injective(A, v))):
+            if not M.contains(mod):
+                missing.append((kind, v))
+                report.witness("proj-inj-membership",
+                               f"{kind} at vertex {v} not in M", mod)
+    report.record("proj-inj-membership", not missing,
+                  f"{len(missing)} missing" if missing else "all present")
+    if missing and not report_all:
+        return report
+    rigid = True
+    for X in M.modules:
+        for Y in M.modules:
+            for i in range(1, n):
+                if replab.ext_dim(X, Y, i):
+                    rigid = False
+                    report.witness(
+                        "rigidity",
+                        f"Ext^{i} nonzero between members "
+                        f"{X.dim_vector()} -> {Y.dim_vector()}", X)
+                    break
+            if not rigid:
+                break
+        if not rigid:
+            break
+    report.record("rigidity", rigid)
+    if not rigid and not report_all:
+        return report
+    maximal = True
+    for X in indecs:
+        if M.contains(X):
+            continue
+        into = any(replab.ext_dim(X, Y, i)
+                   for Y in M.modules for i in range(1, n))
+        outof = any(replab.ext_dim(Y, X, i)
+                    for Y in M.modules for i in range(1, n))
+        if not (into and outof):
+            maximal = False
+            side = [] if into else ["Ext(X, M) = 0"]
+            if not outof:
+                side.append("Ext(M, X) = 0")
+            report.witness("maximality",
+                           f"excluded module violates {' and '.join(side)}",
+                           X)
+            if not report_all:
+                break
+    report.record("maximality", maximal)
+    report.record("functorial-finiteness", True,
+                  "automatic for representation-finite algebras")
+    return report
+
+
+def _ext_sweep_cases():
+    """(algebra, candidate, n): passing candidates, then failing ones."""
+    for s in (1, 2):
+        for t in (1, 2):
+            for n in (2, 3):
+                yield generate_sinks_sources(s, t, n) + (n,)
+    K = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2, 1]))
+    yield K, tau_orbit_candidate(K, 3), 3
+    S = starlike([(5, "out"), (5, "out"), (4, "in")])
+    yield S, tau_orbit_candidate(S, 4), 4
+    # failing: checked at the wrong n, not rigid, not maximal
+    yield K, tau_orbit_candidate(K, 3), 2
+    yield S, tau_orbit_candidate(S, 4), 3
+    for B in (K, S):
+        yield B, Subcategory(B, arquiver.indecomposables(B)), 2
+    L, M = generate_sinks_sources(2, 2, 2)
+    for B, cand, n in ((K, tau_orbit_candidate(K, 3), 3), (L, M, 2)):
+        ends = Subcategory(B, [replab.standard_module(B, v, kind)
+                               for v in B.quiver.vertices
+                               for kind in ("projective", "injective")])
+        drop = next(X for X in cand.modules if not ends.contains(X))
+        yield B, Subcategory(B, [X for X in cand.modules
+                                 if X is not drop]), n
+
+
+def test_check_nct_matches_pairwise_ext_sweep():
+    verdicts = []
+    for A, M, n in _ext_sweep_cases():
+        ind = arquiver.indecomposables(A)
+        for report_all in (False, True):
+            got = check_nct(A, M, n, indecs=ind, report_all=report_all)
+            want = _pairwise_check_nct(A, M, n, ind, report_all)
+            assert got.to_json() == want.to_json(), (n, report_all)
+        verdicts.append(got.verdict)
+    assert verdicts == [True] * 10 + [False] * 6
