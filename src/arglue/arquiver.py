@@ -45,20 +45,36 @@ class ARData:
 
 
 class _IsoIndex:
-    """Bucketed isomorphism-class store for representations."""
+    """Isomorphism-class store: modules in insertion order (``reps``),
+    bucketed by dimension vector, each bucket searched with
+    ``replab.is_isomorphic`` in insertion order.
 
-    def __init__(self, seed=1729):
-        self.buckets = {}
-        self.seed = seed
+    ``dedupe`` keeps the first module of each isomorphism class of
+    ``reps`` and skips zero modules; without it ``reps`` is taken as
+    already pairwise non-isomorphic and stored as given.  ``find`` is
+    certain when rep or the stored module is indecomposable: only when
+    neither is can ``is_isomorphic``'s random fallback decide the answer.
+    """
+
+    def __init__(self, reps=(), dedupe=True):
+        self.reps = []
+        self.buckets = {}   # dimension vector -> positions in reps
+        for rep in reps:
+            if not dedupe or (not rep.is_zero() and self.find(rep) is None):
+                self.add(rep)
 
     def find(self, rep):
-        for other, payload in self.buckets.get(rep.dim_vector(), []):
-            if replab.is_isomorphic(rep, other, seed=self.seed):
-                return payload
+        """Position of the stored module isomorphic to rep, or None."""
+        for i in self.buckets.get(rep.dim_vector(), ()):
+            if replab.is_isomorphic(rep, self.reps[i]):
+                return i
         return None
 
-    def add(self, rep, payload):
-        self.buckets.setdefault(rep.dim_vector(), []).append((rep, payload))
+    def add(self, rep):
+        """Append rep, which the caller knows to be new; its position."""
+        self.buckets.setdefault(rep.dim_vector(), []).append(len(self.reps))
+        self.reps.append(rep)
+        return len(self.reps) - 1
 
 
 class _Record:
@@ -80,13 +96,11 @@ def _enumerate(A, cap=4096):
     """
     index = _IsoIndex()
     record = _Record(index)
-    order = []
+    order = index.reps
 
     def add(rep):
-        index.add(rep, len(order))
-        order.append(rep)
         record.tau_minus.append(None)
-        return len(order) - 1
+        return index.add(rep)
 
     for v in sorted(A.quiver.vertices):
         P = replab.projective(A, v)
@@ -151,21 +165,18 @@ def indecomposables(A, cap=4096):
 def _translate_each(A, reps):
     """The record that ``_enumerate`` keeps, for an already complete list
     (the uniserials of a cycle quiver)."""
-    index = _IsoIndex()
-    for i, rep in enumerate(reps):
-        index.add(rep, i)
-    record = _Record(index)
+    record = _Record(_IsoIndex(reps, dedupe=False))
     for rep in reps:
         T = replab.ar_translate(rep, "-")
         j = None
         if not T.is_zero():
-            j = index.find(T)
+            j = record.index.find(T)
             if j is None:
                 raise EnumerationError(
                     "tau image left the enumerated set (bug)")
         record.tau_minus.append(j)
     for v in A.quiver.vertices:
-        i = index.find(replab.projective(A, v))
+        i = record.index.find(replab.projective(A, v))
         if i is not None:
             record.projective[v] = i
     return record

@@ -9,7 +9,7 @@ tail coordinates.
 
 from itertools import combinations
 
-from . import replab
+from . import arquiver, replab
 from .core import AlgebraError, linear_a
 
 
@@ -218,23 +218,19 @@ def foundation(A, ab, ardata=None):
     values are the matching node ids instead.
     """
     h = ab.height
+    mods = {(a, b): interval_module(A, ab.tail, a, b)
+            for a in range(1, h + 1) for b in range(a, h + 1)}
+    if ardata is None:
+        return mods
+    index = arquiver._IsoIndex([node.rep for node in ardata.nodes],
+                               dedupe=False)
     out = {}
-    for a in range(1, h + 1):
-        for b in range(a, h + 1):
-            M = interval_module(A, ab.tail, a, b)
-            if ardata is None:
-                out[(a, b)] = M
-            else:
-                match = None
-                for node in ardata.nodes:
-                    if (node.rep.dim_vector() == M.dim_vector()
-                            and replab.is_isomorphic(node.rep, M)):
-                        match = node.id
-                        break
-                if match is None:
-                    raise AlgebraError(
-                        f"foundation module ({a},{b}) missing from AR data")
-                out[(a, b)] = match
+    for (a, b), M in mods.items():
+        i = index.find(M)
+        if i is None:
+            raise AlgebraError(
+                f"foundation module ({a},{b}) missing from AR data")
+        out[(a, b)] = ardata.nodes[i].id
     return out
 
 

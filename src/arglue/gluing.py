@@ -167,9 +167,7 @@ def glue_ar(arA, arB, glued):
                 raise AlgebraError("amalgamated tau maps clash")
             tau[key] = val
     # recompute projectivity/injectivity over the glued algebra
-    index = arquiver._IsoIndex()
-    for i, rep in enumerate(reps):
-        index.add(rep, i)
+    index = arquiver._IsoIndex(reps, dedupe=False)
     for v in L.quiver.vertices:
         i = index.find(replab.projective(L, v))
         if i is not None:
@@ -184,15 +182,14 @@ def ar_isomorphic(ar1, ar2):
     """Decorated-quiver isomorphism via representation matching."""
     if ar1.node_count() != ar2.node_count():
         return False
-    index = arquiver._IsoIndex()
-    for i, node in enumerate(ar2.nodes):
-        index.add(node.rep, node.id)
+    index = arquiver._IsoIndex([node.rep for node in ar2.nodes],
+                               dedupe=False)
     match = {}
     for node in ar1.nodes:
-        other = index.find(node.rep)
-        if other is None or other in match.values():
+        i = index.find(node.rep)
+        if i is None or ar2.nodes[i].id in match.values():
             return False
-        match[node.id] = other
+        match[node.id] = ar2.nodes[i].id
     a1 = {(match[x], match[y]): m for (x, y), m in ar1.arrows.items()}
     a2 = dict(ar2.arrows)
     if a1 != a2:

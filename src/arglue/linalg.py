@@ -51,9 +51,6 @@ def matmul(a, b):
 def matadd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 
 def scale(a, c):
     c = Fraction(c)
@@ -160,13 +157,9 @@ def invert(a):
     n, c = shape(a)
     if n != c:
         return None
-    x = solve(a, identity(n))
-    if x is None:
-        return None
-    # solve() guarantees a left-solution; square + full pivots means inverse
-    if rank(a) != n:
-        return None
-    return x
+    # [a | I] has rank n, so solve() finds x exactly when every pivot
+    # falls in a, i.e. when a has full rank, and then a x = I
+    return solve(a, identity(n))
 
 
 def column_space_basis(a):

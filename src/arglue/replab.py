@@ -381,7 +381,16 @@ def _combination(M, N, coeffs, basis):
     return Morphism(M, N, mats)
 
 
-def is_isomorphic(M, N, seed=1729, tries=30):
+def is_isomorphic(M, N):
+    """Whether M and N are isomorphic: equal matrices, then each element
+    of a basis of Hom(M, N), then 30 seeded random combinations of it.
+
+    When M or N is indecomposable, Hom(M, N) is a module over its local
+    endomorphism ring, so if M and N are isomorphic some basis element
+    is an isomorphism and the basis loop answers; the random combinations
+    then only repeat a "no".  They decide the answer, and can miss an
+    isomorphism, only when neither module is indecomposable.
+    """
     if M.algebra is not N.algebra and M.algebra != N.algebra:
         return False
     if M.dim != N.dim:
@@ -398,8 +407,8 @@ def is_isomorphic(M, N, seed=1729, tries=30):
             return True
     if len(basis) == 1:
         return False
-    rng = random.Random(seed)
-    for _ in range(tries):
+    rng = random.Random(1729)
+    for _ in range(30):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
         if _combination(M, N, coeffs, basis).is_invertible():
             return True
@@ -557,7 +566,7 @@ class Resolution:
             if K.is_zero():
                 self.finished = True
                 return
-            gens = top_generators(K)
+            P, gens, K2, E2 = cover_data(K)
             pathmat = []
             for w, idx in gens:
                 col = [E[w][r][idx] for r in range(len(E[w]))]
@@ -566,11 +575,6 @@ class Resolution:
                     if c:
                         entry[Pprev.basis[w][r]] = c
                 pathmat.append(entry)
-            P, gens2, K2, E2 = cover_data(K)
-            # cover_data recomputes generators; order matches top_generators
-            if gens2 != gens:
-                raise RuntimeError(
-                    "cover generators differ from the top generators (bug)")
             self.levels.append(([v for v, _ in gens], pathmat))
             self._state = (K2, E2, P)
 
@@ -827,7 +831,7 @@ def _try_split(M, endo):
     return subrepresentation(M, kcols), subrepresentation(M, icols)
 
 
-def _split_candidates(M, endos, seed):
+def _split_candidates(M, endos):
     """Endomorphisms to try in turn: the basis, its pairwise sums, then 60
     seeded random combinations, each built only when reached."""
     yield from endos
@@ -836,13 +840,13 @@ def _split_candidates(M, endos, seed):
             yield Morphism(M, M, {
                 v: linalg.matadd(endos[i].mats[v], endos[j].mats[v])
                 for v in endos[i].mats})
-    rng = random.Random(seed)
+    rng = random.Random(1729)
     for _ in range(60):
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in endos]
         yield _combination(M, M, coeffs, endos)
 
 
-def decompose(M, seed=1729):
+def decompose(M):
     """List of indecomposable summands (with repetition) by Fitting splits.
 
     M comes back unsplit, as [M], only when hom_basis(M, M) has one
@@ -854,26 +858,13 @@ def decompose(M, seed=1729):
     endos = hom_basis(M, M)
     if len(endos) == 1:
         return [M]
-    for endo in _split_candidates(M, endos, seed):
+    for endo in _split_candidates(M, endos):
         split = _try_split(M, endo)
         if split is not None:
             k, im = split
-            return decompose(k, seed=seed) + decompose(im, seed=seed)
+            return decompose(k) + decompose(im)
     raise DecompositionError(
         "Fitting decomposition failed: endomorphism ring resists splitting")
-
-
-def decompose_with_multiplicity(M, seed=1729):
-    parts = decompose(M, seed=seed)
-    out = []
-    for p in parts:
-        for i, (q, mult) in enumerate(out):
-            if is_isomorphic(p, q, seed=seed):
-                out[i] = (q, mult + 1)
-                break
-        else:
-            out.append((p, 1))
-    return out
 
 
 def rep_to_json(M):

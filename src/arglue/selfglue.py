@@ -271,23 +271,14 @@ def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
     for k in range(k_min, k_max + 1):
         win = cover_window(A, witness, k)
         reps = arquiver.indecomposables(win.presentation, cap=cap)
-        index = arquiver._IsoIndex()
-        found = []
-        for M in reps:
-            copies = _window_copies(M, win)
-            if min(copies) <= -k or max(copies) >= k:
-                continue
-            down = _push_down_window(M, win, sg)
-            if index.find(down) is None:
-                index.add(down, True)
-                found.append(down)
-        if previous is not None and len(found) == len(previous):
-            prev_index = arquiver._IsoIndex()
-            for M in previous:
-                prev_index.add(M, True)
-            if all(prev_index.find(M) is not None for M in found):
-                return found
-        previous = found
+        index = arquiver._IsoIndex(
+            _push_down_window(M, win, sg) for M in reps
+            if all(-k < c < k for c in _window_copies(M, win)))
+        found = index.reps
+        if (previous is not None and len(found) == len(previous.reps)
+                and all(previous.find(M) is not None for M in found)):
+            return found
+        previous = index
     raise arquiver.EnumerationError(
         f"window growth did not stabilize by k={k_max}")
 
@@ -298,18 +289,12 @@ def tilde_nct(A, witness, modules, n, indecs=None):
     Returns (report, folded algebra data, pushed module list).
     """
     sg = tilde(A, witness)
-    index = arquiver._IsoIndex()
-    pushed = []
-    for M in modules:
-        down = push_down(M, sg)
-        if index.find(down) is None:
-            index.add(down, True)
-            pushed.append(down)
+    sub = verifier.Subcategory(sg.presentation,
+                               (push_down(M, sg) for M in modules))
     if indecs is None:
         indecs = orbit_indecomposables(A, witness, sg=sg)
-    sub = verifier.Subcategory(sg.presentation, pushed, dedupe=False)
     report = verifier.check_nct(sg.presentation, sub, n, indecs=indecs)
-    return report, sg, pushed
+    return report, sg, sub.modules
 
 
 # -- simultaneous gluing -------------------------------------------------

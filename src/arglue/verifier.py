@@ -14,19 +14,8 @@ class Subcategory:
 
     def __init__(self, algebra, modules, dedupe=True):
         self.algebra = algebra
-        if dedupe:
-            index = arquiver._IsoIndex()
-            kept = []
-            for M in modules:
-                if not M.is_zero() and index.find(M) is None:
-                    index.add(M, True)
-                    kept.append(M)
-            self.modules = kept
-        else:
-            self.modules = list(modules)
-        self._index = arquiver._IsoIndex()
-        for i, M in enumerate(self.modules):
-            self._index.add(M, i)
+        self._index = arquiver._IsoIndex(modules, dedupe=dedupe)
+        self.modules = self._index.reps
 
     def __len__(self):
         return len(self.modules)
@@ -81,26 +70,19 @@ def _is_indecomposable(M):
     return len(replab.decompose(M)) == 1
 
 
-def tau_orbit_candidate(A, n, seed=None, cap=4096):
-    """Closure of the projectives (or a seed list) under the inverse
-    n-fold translate, the canonical candidate subcategory."""
+def tau_orbit_candidate(A, n, cap=4096):
+    """Closure of the projectives under the inverse n-fold translate, the
+    canonical candidate subcategory."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Subcategory(A, arquiver.indecomposables(A, cap=cap),
                            dedupe=False)
-    start = seed if seed is not None else [
-        replab.projective(A, v) for v in sorted(A.quiver.vertices)]
-    index = arquiver._IsoIndex()
-    out = []
-    queue = []
-    for M in start:
-        if not M.is_zero() and index.find(M) is None:
-            index.add(M, True)
-            out.append(M)
-            queue.append(M)
-    while queue:
-        M = queue.pop(0)
+    index = arquiver._IsoIndex(
+        replab.projective(A, v) for v in sorted(A.quiver.vertices))
+    out = index.reps
+    # the queue is the member list itself, each member translated once
+    for M in out:
         T = replab.tau_n(M, n, "-")
         if T.is_zero():
             continue
@@ -109,9 +91,7 @@ def tau_orbit_candidate(A, n, seed=None, cap=4096):
                 if len(out) >= cap:
                     raise arquiver.EnumerationError(
                         f"orbit candidate exceeded cap {cap}")
-                index.add(part, True)
-                out.append(part)
-                queue.append(part)
+                index.add(part)
     return Subcategory(A, out, dedupe=False)
 
 
@@ -279,12 +259,8 @@ def check_fractured(A, fr, M, n, report_all=False):
     SP = [X for X in M.modules if not PL.contains(X)]
     SI = [X for X in M.modules if not IR.contains(X)]
     # (a2) the translates give mutually inverse bijections SP <-> SI
-    si_index = arquiver._IsoIndex()
-    for i, Y in enumerate(SI):
-        si_index.add(Y, i)
-    sp_index = arquiver._IsoIndex()
-    for i, X in enumerate(SP):
-        sp_index.add(X, i)
+    si_index = arquiver._IsoIndex(SI, dedupe=False)
+    sp_index = arquiver._IsoIndex(SP, dedupe=False)
     a2 = True
     hit = set()
     for X in SP:
@@ -445,13 +421,3 @@ def generate_sinks_sources(s, t, n):
         for M in tau_orbit_candidate(blocks[tv], n).modules:
             mods.append(gluing.push_forward_system(M, tv, L, vmaps, amaps))
     return L, Subcategory(L, mods)
-
-
-def glued_indecomposables(sysspec, L, vmaps, amaps):
-    """Complete indecomposable list of a glued system, pushed forward
-    from the per-block lists and deduped on the seam foundations."""
-    mods = []
-    for tv in sysspec.tree_vertices:
-        for M in arquiver.indecomposables(sysspec.algebras[tv]):
-            mods.append(gluing.push_forward_system(M, tv, L, vmaps, amaps))
-    return Subcategory(L, mods).modules

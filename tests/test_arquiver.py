@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arglue import arquiver, replab
+from arglue import arquiver, replab, verifier
 from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
                          linear_a, nakayama, starlike)
 from arglue.gluing import GluingSpec, glue
@@ -69,9 +69,7 @@ def _oracle_parts(A, reps):
         dv = rep.dim_vector()
         k = seen[dv] = seen.get(dv, -1) + 1
         ids.append("(" + ",".join(map(str, dv)) + f")@{k}")
-    index = arquiver._IsoIndex()
-    for i, rep in enumerate(reps):
-        index.add(rep, i)
+    index = arquiver._IsoIndex(reps, dedupe=False)
     proj = {index.find(replab.projective(A, v)) for v in A.quiver.vertices}
     inj = {index.find(replab.injective(A, v)) for v in A.quiver.vertices}
     markers = [(i in proj, i in inj) for i in range(len(reps))]
@@ -80,6 +78,44 @@ def _oracle_parts(A, reps):
     arrows = [((ids[i], ids[j]), mult)
               for (i, j), mult in arquiver._radical_arrows(reps).items()]
     return ids, markers, arrows, tau
+
+
+def test_iso_index_keeps_first_of_each_class_in_order():
+    A = chain_four()
+    ind = arquiver.indecomposables(A)
+    rebuilt = [replab.Representation(
+        A, dict(M.dim), {a: [list(row) for row in m]
+                         for a, m in M.mats.items()}) for M in ind]
+    zero = replab.zero_rep(A)
+    index = arquiver._IsoIndex([zero] + ind + rebuilt[::-1] + [zero] + ind)
+    assert [id(M) for M in index.reps] == [id(M) for M in ind]
+    for i, M in enumerate(ind):
+        assert index.find(M) == i and index.find(rebuilt[i]) == i
+    assert index.find(zero) is None
+    assert index.find(replab.simple(linear_a(2), "1")) is None
+    # without dedupe the list is kept as given, repeats and zeros too
+    given = [zero] + ind + rebuilt
+    kept = arquiver._IsoIndex(given, dedupe=False)
+    assert [id(M) for M in kept.reps] == [id(M) for M in given]
+    assert kept.find(zero) == 0 and kept.find(ind[3]) == 4
+    assert kept.add(ind[0]) == len(given)
+
+
+def test_subcategory_adds_each_kept_module_once(monkeypatch):
+    A = chain_four()
+    ind = arquiver.indecomposables(A)
+    added = []
+    add = arquiver._IsoIndex.add
+
+    def counted(self, rep):
+        added.append(rep)
+        return add(self, rep)
+
+    monkeypatch.setattr(arquiver._IsoIndex, "add", counted)
+    sub = verifier.Subcategory(A, ind + [replab.zero_rep(A)] + ind)
+    assert len(sub) == len(ind)
+    assert [id(M) for M in added] == [id(M) for M in ind]
+    assert all(sub.locate(M) == i for i, M in enumerate(ind))
 
 
 def _knit_corpus():

@@ -136,3 +136,17 @@ def test_complement_basis_matches_greedy_rank_choice(dim, k, seed):
         _, cols = linalg.column_space_basis(
             linalg.columns_to_matrix(cols, dim))
     assert linalg.complement_basis(cols, dim) == _greedy_complement(cols, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_invert_exactly_when_full_rank(n, repeat, seed):
+    rng = random.Random(seed)
+    a = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    if repeat and n > 1:
+        a[-1] = list(a[0])
+    x = linalg.invert(a)
+    assert (x is None) == (linalg.rank(a) < n)
+    if x is not None:
+        unit = linalg.identity(n)
+        assert linalg.matmul(a, x) == unit == linalg.matmul(x, a)

@@ -150,6 +150,20 @@ def test_is_isomorphic_answers_equal_matrices_without_hom_solving(
     assert replab.is_isomorphic(replab.zero_rep(A), replab.zero_rep(twin))
 
 
+def test_resolution_finds_each_syzygy_top_once(monkeypatch):
+    A = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))
+    calls = {"top_generators": 0, "cover_data": 0}
+    for name in calls:
+        def counted(M, _fn=getattr(replab, name), _name=name):
+            calls[_name] += 1
+            return _fn(M)
+        monkeypatch.setattr(replab, name, counted)
+    for M in replab.uniserial_modules(A):
+        replab.resolution_of(M).extend_to(4)
+    assert calls["cover_data"] > 0
+    assert calls["top_generators"] == calls["cover_data"]
+
+
 def test_chain_four_has_nine_indecomposables_worth_of_homs():
     A = chain_four()
     P0 = replab.projective(A, "0")
