@@ -12,6 +12,18 @@ On a cycle quiver the indecomposables are the uniserials, some of whose
 tau-orbits are periodic and hold no projective, so there the arrows come
 from dim rad - dim rad^2, composing Hom bases through every third node.
 That construction is also the tests' reference for the knitted quivers.
+
+A complete enumeration is kept on its algebra, and every later
+``indecomposables`` or ``ar_quiver`` call reads it.  Its record then
+serves per-node tables, each entry a list of node indices filled the
+first time it is read: the summands of Omega and of Omega^- (the latter
+from the cover that translating the node already built), and tau, the
+inverse of the tau-minus record.  As Omega^-, Omega, tau^- and tau are
+additive, tau_n^- of a node is tau^- summand by summand after n - 1
+steps of Omega^-, and tau_n likewise from Omega and tau.  The orbit
+candidate and the fractured check read these tables only when that
+algebra's complete enumeration is already computed; they never
+enumerate to get them.
 """
 
 from . import linalg, replab
@@ -80,12 +92,71 @@ class _IsoIndex:
 class _Record:
     """What translating each node once leaves behind: per node, the index
     of its tau-minus image, None when the node is injective; per vertex v,
-    the index of P(v); and the isomorphism index over all nodes."""
+    the index of P(v); and the isomorphism index over all nodes.
+
+    On a complete enumeration it also answers, per node, the node indices
+    of the summands of its syzygy, cosyzygy and translates, each table
+    filled the first time it is read.
+    """
 
     def __init__(self, index):
         self.index = index
         self.tau_minus = []
         self.projective = {}
+        self.cosyzygy = {}   # node -> Omega^- module, until decomposed
+        self._syzygies = {"+": {}, "-": {}}   # direction -> node -> nodes
+        self._tau = None
+        self._positions = None
+
+    def position(self, rep):
+        """Index of the node that is the object rep, or None."""
+        if self._positions is None:
+            self._positions = {id(r): i for i, r in enumerate(self.index.reps)}
+        return self._positions.get(id(rep))
+
+    def locate(self, rep):
+        """Index of the node isomorphic to the indecomposable rep."""
+        i = self.index.find(rep)
+        if i is None:
+            raise EnumerationError("indecomposable left the enumerated set "
+                                   "(bug)")
+        return i
+
+    def syzygy(self, i, direction):
+        """Nodes of the summands of Omega (direction "+") or Omega^-
+        ("-") of node i, in ``decompose`` order."""
+        table = self._syzygies[direction]
+        if i not in table:
+            rep = self.cosyzygy.pop(i, None) if direction == "-" else None
+            if rep is None:
+                rep = replab.syzygy(self.index.reps[i], direction, 1)
+            table[i] = [self.locate(part) for part in replab.decompose(rep)]
+        return table[i]
+
+    def tau_n(self, nodes, n, direction):
+        """Nodes of the summands of tau_n^- (direction "-") or tau_n
+        ("+") of the sum of ``nodes``: the (co)syzygy n - 1 times, then
+        the translate, summand by summand, as both are additive."""
+        for _ in range(n - 1):
+            nodes = [j for i in nodes for j in self.syzygy(i, direction)]
+        step = self.tau_minus if direction == "-" else self.tau()
+        return [step[i] for i in nodes if step[i] is not None]
+
+    def tau(self):
+        """Per node, the index of its tau image, None for the P(v): the
+        inverse of ``tau_minus``."""
+        if self._tau is None:
+            tau = [None] * len(self.tau_minus)
+            for i, t in enumerate(self.tau_minus):
+                if t is not None:
+                    tau[t] = i
+            projective = set(self.projective.values())
+            if any(t is None and i not in projective
+                   for i, t in enumerate(tau)):
+                raise EnumerationError(
+                    "tau image left the enumerated set (bug)")
+            self._tau = tau
+        return self._tau
 
 
 def _enumerate(A, cap=4096):
@@ -111,7 +182,7 @@ def _enumerate(A, cap=4096):
     # in the order it was found
     i = 0
     while i < len(order):
-        T = replab.ar_translate(order[i], "-")
+        record.cosyzygy[i], T = replab.cosyzygy_and_translate(order[i])
         if not T.is_zero():
             parts = replab.decompose(T)
             if len(parts) != 1:
@@ -139,9 +210,14 @@ def _is_cycle(q):
 
 
 def _complete_enumeration(A, cap):
-    """(reps, record) from ``_enumerate``, or EnumerationError when the
-    orbits of the projectives do not certify a complete list."""
-    reps, complete, capped, record = _enumerate(A, cap=cap)
+    """The record of ``_enumerate``, or EnumerationError when the orbits
+    of the projectives do not certify a complete list.  A complete record
+    is kept on A and answers every later call whose cap it fits; a failed
+    enumeration is not kept."""
+    record = _known_enumeration(A)
+    if record is not None and len(record.tau_minus) <= cap:
+        return record
+    _reps, complete, capped, record = _enumerate(A, cap=cap)
     if capped:
         raise EnumerationError(
             f"more than {cap} indecomposables reached; "
@@ -150,7 +226,13 @@ def _complete_enumeration(A, cap):
         raise EnumerationError(
             "tau-minus orbits of projectives missed an injective; "
             "enumeration is not complete for this algebra")
-    return reps, record
+    return replab._memo(A, "enumeration", lambda: record)
+
+
+def _known_enumeration(A):
+    """The record of A's complete enumeration if one was already made,
+    else None; never enumerates."""
+    return replab._memo_get(A, "enumeration")
 
 
 def indecomposables(A, cap=4096):
@@ -159,7 +241,7 @@ def indecomposables(A, cap=4096):
         # tau-orbits are periodic without ever meeting a projective, so
         # knitting from the projectives would silently under-enumerate.
         return replab.uniserial_modules(A)
-    return _complete_enumeration(A, cap)[0]
+    return list(_complete_enumeration(A, cap).index.reps)
 
 
 def _translate_each(A, reps):
@@ -225,9 +307,9 @@ def _radical_arrows(reps):
     return arrows
 
 
-def _knit(A, record, tau):
+def _knit(A, record):
     """Irreducible-map multiplicities {(i, j): m} in sorted (i, j) order,
-    from the tau-minus record and its inverse ``tau`` (index -> index).
+    from the tau-minus record and its inverse.
 
     The arrows into P(v) come from the summands of rad P(v) = Omega S(v).
     The arrows into tau^- W are the arrows out of W (the mesh ending at
@@ -250,8 +332,7 @@ def _knit(A, record, tau):
     # a non-projective node is found while translating its tau, so its
     # tau comes earlier in node order: the arrows into tau x are complete
     # by the time x is filled
-    for x in range(n):
-        w = tau.get(x)
+    for x, w in enumerate(record.tau()):
         if w is None:
             continue
         into[x].update(into_projective[w])
@@ -272,7 +353,8 @@ def ar_quiver(A, cap=4096):
     if cycle:
         reps = replab.uniserial_modules(A)
     else:
-        reps, record = _complete_enumeration(A, cap)
+        record = _complete_enumeration(A, cap)
+        reps = record.index.reps
     # stable ids
     seen = {}
     nodes = []
@@ -297,21 +379,12 @@ def ar_quiver(A, cap=4096):
         record = _translate_each(A, reps)
     for i in record.projective.values():
         nodes[i].is_projective = True
-    tau_index = {}
     for i, t in enumerate(record.tau_minus):
         if t is None:
             nodes[i].is_injective = True
-        else:
-            tau_index[t] = i
-    tau = {}
-    for j, node in enumerate(nodes):
-        if node.is_projective:
-            continue
-        if j not in tau_index:
-            raise EnumerationError("tau image left the enumerated set (bug)")
-        tau[node.id] = nodes[tau_index[j]].id
-    by_index = (_radical_arrows(reps) if cycle
-                else _knit(A, record, tau_index))
+    tau = {nodes[j].id: nodes[i].id for j, i in enumerate(record.tau())
+           if i is not None}
+    by_index = _radical_arrows(reps) if cycle else _knit(A, record)
     arrows = {(nodes[i].id, nodes[j].id): mult
               for (i, j), mult in by_index.items()}
     return ARData(A, nodes, arrows, tau)

@@ -5,6 +5,7 @@ One pipeline per invocation; compose runs through files.  Exit codes:
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -26,6 +27,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@contextlib.contextmanager
+def _malformed(what):
+    """Reports the errors that reading a malformed document raises as
+    CliError; AlgebraError already names the input fault."""
+    try:
+        yield
+    except AlgebraError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CliError(f"malformed {what}: {e}")
+
+
 def _read_json(path):
     try:
         with open(path) as fh:
@@ -34,15 +47,21 @@ def _read_json(path):
         raise CliError(f"cannot read {path}: {e}")
 
 
+def _parse_algebra(doc):
+    """The algebra of a document, or of its "algebra" entry."""
+    with _malformed("algebra document"):
+        if isinstance(doc, dict) and "algebra" in doc:
+            doc = doc["algebra"]
+        return parse_algebra(doc)
+
+
 def _load_algebra(path):
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "algebra" in doc:
-        doc = doc["algebra"]
-    return parse_algebra(doc)
+    return _parse_algebra(_read_json(path))
 
 
 def _load_modules(A, doc):
-    return [replab.rep_from_json(A, d) for d in doc]
+    with _malformed("module list"):
+        return [replab.rep_from_json(A, d) for d in doc]
 
 
 def _load_fracturing(A, doc):
@@ -51,14 +70,22 @@ def _load_fracturing(A, doc):
               "right": {ab.anchor: ab for ab in fx.abutments(A, "right")
                         if ab.maximal}}
     sides = {}
-    for side in ("left", "right"):
-        sides[side] = {}
-        for anchor, ivs in doc.get(side, {}).items():
-            ab = maxima[side].get(str(anchor))
-            if ab is None:
-                raise CliError(f"no maximal {side} abutment at {anchor}")
-            sides[side][str(anchor)] = fx.IntervalSet(ab.height, ivs)
+    with _malformed("fracturing"):
+        for side in ("left", "right"):
+            sides[side] = {}
+            for anchor, ivs in doc.get(side, {}).items():
+                ab = maxima[side].get(str(anchor))
+                if ab is None:
+                    raise CliError(f"no maximal {side} abutment at {anchor}")
+                sides[side][str(anchor)] = fx.IntervalSet(ab.height, ivs)
     return fx.Fracturing(A, sides["left"], sides["right"])
+
+
+def _level(args, least, what):
+    """args.n, or CliError when it is below ``least``."""
+    if args.n < least:
+        raise CliError(f"{what} needs -n >= {least}")
+    return args.n
 
 
 def _digest(paths):
@@ -140,13 +167,13 @@ def _cmd_algebra(args, report):
     return PASS
 
 
-def _candidate(A, args, doc=None):
+def _candidate(A, args, n, doc=None):
     if getattr(args, "modules", None):
         mdoc = _read_json(args.modules)
         return verifier.Subcategory(A, _load_modules(A, mdoc))
     if doc and isinstance(doc, dict) and "modules" in doc:
         return verifier.Subcategory(A, _load_modules(A, doc["modules"]))
-    return verifier.tau_orbit_candidate(A, args.n, cap=args.cap)
+    return verifier.tau_orbit_candidate(A, n, cap=args.cap)
 
 
 def _finish_check(rep, report, args, name="verdict"):
@@ -157,18 +184,19 @@ def _finish_check(rep, report, args, name="verdict"):
 
 def _cmd_check(args, report):
     doc = _read_json(args.file)
-    A = parse_algebra(doc.get("algebra", doc))
-    M = _candidate(A, args, doc)
+    A = _parse_algebra(doc)
+    n = _level(args, 1 if args.action == "nct" else 2, f"check {args.action}")
+    M = _candidate(A, args, n, doc)
     report.verdict("candidate-size", len(M))
     if args.action == "nct":
-        rep = verifier.check_nct(A, M, args.n)
+        rep = verifier.check_nct(A, M, n)
     else:
         fdoc = (_read_json(args.fracturing) if args.fracturing
                 else doc.get("fracturing"))
         if fdoc is None:
             raise CliError("check fractured needs --fracturing")
         fr = _load_fracturing(A, fdoc)
-        rep = verifier.check_fractured(A, fr, M, args.n)
+        rep = verifier.check_fractured(A, fr, M, n)
     return _finish_check(rep, report, args)
 
 
@@ -215,19 +243,23 @@ def _cmd_glue(args, report):
         return PASS
     # gluing system from a file
     doc = _read_json(args.files[0])
-    tree = doc["tree"]
-    algebras = {}
-    for tv, spec in doc["algebras"].items():
-        algebras[tv] = (parse_algebra(spec) if isinstance(spec, dict)
-                        else _load_algebra(spec))
-    arrows = [(a["from"], a["to"], a["I"], a["P"]) for a in tree["arrows"]]
-    sysspec = gluing.GluingSystemSpec(tree["vertices"], arrows, algebras)
-    if "fracturings" in doc and args.n:
-        sysspec.fracturings = {
-            tv: _load_fracturing(algebras[tv], fdoc)
-            for tv, fdoc in doc["fracturings"].items()}
+    with _malformed("gluing system"):
+        tree = doc["tree"]
+        algebras = {tv: (_parse_algebra(spec) if isinstance(spec, dict)
+                         else _load_algebra(spec))
+                    for tv, spec in doc["algebras"].items()}
+        arrows = [(a["from"], a["to"], a["I"], a["P"])
+                  for a in tree["arrows"]]
+        vertices = tree["vertices"]
+        fracturings = ([(tv, algebras[tv], fdoc)
+                        for tv, fdoc in doc["fracturings"].items()]
+                       if "fracturings" in doc and args.n else None)
+    sysspec = gluing.GluingSystemSpec(vertices, arrows, algebras)
+    if fracturings is not None:
+        sysspec.fracturings = {tv: _load_fracturing(B, fdoc)
+                               for tv, B, fdoc in fracturings}
         L, _maps, mods, complete = gluing.glue_fractured_system(
-            sysspec, args.n)
+            sysspec, _level(args, 1, "glue system"))
         report.attach("algebra", L.to_json())
         report.attach("modules", _summaries(mods))
         report.verdict("complete", complete)
@@ -247,7 +279,7 @@ def _cmd_glue(args, report):
 
 def _cmd_selfglue(args, report):
     doc = _read_json(args.file)
-    A = parse_algebra(doc.get("algebra", doc))
+    A = _parse_algebra(doc)
     fdoc = (_read_json(args.fracturing) if args.fracturing
             else doc.get("fracturing"))
     if fdoc is not None:
@@ -265,8 +297,9 @@ def _cmd_selfglue(args, report):
     report.attach("algebra_tilde", sg.presentation.to_json())
     report.verdict("tilde-vertices", len(sg.presentation.quiver.vertices))
     if args.n:
-        M = _candidate(A, args, doc)
-        rep, _sg, pushed = selfglue.tilde_nct(A, wit, M.modules, args.n)
+        n = _level(args, 1, "selfglue")
+        M = _candidate(A, args, n, doc)
+        rep, _sg, pushed = selfglue.tilde_nct(A, wit, M.modules, n)
         report.attach("modules_tilde", _summaries(pushed))
         _write_dump(args, pushed, report)
         return _finish_check(rep, report, args)
@@ -302,11 +335,10 @@ def _cmd_nakayama(args, report):
         report.verdict("kupisch-tilde",
                        list(kupisch_of(sg.presentation).entries))
         return PASS
-    if not args.n:
-        raise CliError("check-nct needs -n")
-    M = verifier.tau_orbit_candidate(A, args.n, cap=args.cap)
+    n = _level(args, 1, "check-nct")
+    M = verifier.tau_orbit_candidate(A, n, cap=args.cap)
     report.verdict("candidate-size", len(M))
-    rep = verifier.check_nct(A, M, args.n)
+    rep = verifier.check_nct(A, M, n)
     return _finish_check(rep, report, args)
 
 
@@ -324,9 +356,8 @@ def _parse_arms(text):
 def _cmd_starlike(args, report):
     arms = _parse_arms(args.arms)
     if args.action == "classify":
-        if not args.n:
-            raise CliError("classify needs -n")
-        passes, gldim, case = verifier.starlike_classify(arms, args.n)
+        passes, gldim, case = verifier.starlike_classify(
+            arms, _level(args, 2, "classify"))
         report.attach("classification",
                       {"passes": passes, "gldim": gldim, "case": case})
         report.verdict("passes", passes,
@@ -337,19 +368,21 @@ def _cmd_starlike(args, report):
     if args.action == "emit":
         report.verdict("vertices", len(A.quiver.vertices))
         return PASS
-    if not args.n:
-        raise CliError("check-nct needs -n")
+    n = _level(args, 1, "check-nct")
     if not verifier.starlike_rep_finite(arms):
         report.verdict("verdict", False, "not representation-finite")
         return FAIL
-    M = verifier.tau_orbit_candidate(A, args.n, cap=args.cap)
+    M = verifier.tau_orbit_candidate(A, n, cap=args.cap)
     report.verdict("candidate-size", len(M))
-    rep = verifier.check_nct(A, M, args.n)
+    rep = verifier.check_nct(A, M, n)
     return _finish_check(rep, report, args)
 
 
 def _cmd_generate(args, report):
-    L, M = verifier.generate_sinks_sources(args.sources, args.sinks, args.n)
+    if args.sources < 1 or args.sinks < 1:
+        raise CliError("generate needs -s >= 1 and -t >= 1")
+    L, M = verifier.generate_sinks_sources(
+        args.sources, args.sinks, _level(args, 2, "generate"))
     report.attach("algebra", L.to_json())
     report.verdict("sources", len(L.quiver.sources()))
     report.verdict("sinks", len(L.quiver.sinks()))
@@ -568,13 +601,13 @@ def run(argv):
     report = CommandReport(argv, inputs)
     try:
         code = args.fn(args, report)
-    except (CliError, AlgebraError, OSError, KeyError, ValueError) as e:
+        report.write(args)
+    except (CliError, AlgebraError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR, report
     except (arquiver.EnumerationError, replab.DecompositionError) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return FAIL, report
-    report.write(args)
     return code, report
 
 

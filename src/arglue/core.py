@@ -80,13 +80,16 @@ class BoundQuiverPresentation:
                     raise AlgebraError(f"relation {r} is not a composable path")
             rels.append(r)
         # reduce: drop relations containing a shorter relation inside
-        reduced = []
+        reduced = set()
         for r in sorted(set(rels), key=lambda r: (len(r), r)):
-            if not any(_contains_contiguous(r, s) for s in reduced):
-                reduced.append(r)
+            if not any(r[i:j] in reduced for i in range(len(r) - 1)
+                       for j in range(i + 2, len(r) + 1)):
+                reduced.add(r)
         self.relations = frozenset(reduced)
-        self._max_rel_len = max((len(r) for r in reduced), default=0)
-        self._basis = None
+        # per last arrow, the rest of each relation ending in it
+        self._heads_by_last = {}
+        for r in sorted(reduced):
+            self._heads_by_last.setdefault(r[-1], []).append(r[:-1])
         self.path_cap = path_cap
         self._grow_basis()
 
@@ -102,11 +105,8 @@ class BoundQuiverPresentation:
 
     def _extension_survives(self, path, arrow):
         """Path is relation-free; does path+arrow stay relation-free?"""
-        new = path + (arrow,)
-        k = len(new)
-        for r in self.relations:
-            m = len(r)
-            if m <= k and new[k - m:] == r:
+        for head in self._heads_by_last.get(arrow, ()):
+            if len(head) <= len(path) and path[len(path) - len(head):] == head:
                 return False
         return True
 

@@ -204,6 +204,11 @@ def _memo(A, key, build):
     return memo[key]
 
 
+def _memo_get(A, key):
+    """What ``_memo`` holds for A and key, or None."""
+    return getattr(A, "_memo", {}).get(key)
+
+
 def projective(A, v):
     """P(v): basis = relation-free paths starting at v; arrows append."""
     return _memo(A, ("P", v), lambda: _projective(A, v))
@@ -763,6 +768,16 @@ def ar_translate(M, direction):
     if direction == "-":
         return transpose_module(dual(M))
     raise ValueError("direction must be '+' or '-'")
+
+
+def cosyzygy_and_translate(M):
+    """(Omega^- M, tau^- M) from one minimal projective presentation of
+    DM: the kernel of its cover is D Omega^- M, and its transpose is
+    tau^- M."""
+    D = dual(M)
+    res = resolution_of(D)
+    K = res._state[0] if res._state is not None else D
+    return dual(K), transpose_module(D)
 
 
 def tau_n(M, n, direction):

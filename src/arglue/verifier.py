@@ -72,12 +72,20 @@ def _is_indecomposable(M):
 
 def tau_orbit_candidate(A, n, cap=4096):
     """Closure of the projectives under the inverse n-fold translate, the
-    canonical candidate subcategory."""
+    canonical candidate subcategory.
+
+    When A's complete enumeration is already known, the members are its
+    nodes, found by walking the record's tables; otherwise each member's
+    translate is computed and decomposed.  Both give the members in the
+    same order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Subcategory(A, arquiver.indecomposables(A, cap=cap),
                            dedupe=False)
+    record = arquiver._known_enumeration(A)
+    if record is not None:
+        return _orbit_of_nodes(A, n, cap, record)
     index = arquiver._IsoIndex(
         replab.projective(A, v) for v in sorted(A.quiver.vertices))
     out = index.reps
@@ -93,6 +101,28 @@ def tau_orbit_candidate(A, n, cap=4096):
                         f"orbit candidate exceeded cap {cap}")
                 index.add(part)
     return Subcategory(A, out, dedupe=False)
+
+
+def _orbit_of_nodes(A, n, cap, record):
+    """``tau_orbit_candidate`` on the nodes of a complete enumeration."""
+    nodes = record.index.reps
+    out = [record.projective[v] for v in sorted(A.quiver.vertices)]
+    members = set(out)
+    for i in out:
+        new = [j for j in dict.fromkeys(record.tau_n([i], n, "-"))
+               if j not in members]
+        if len(new) > 1:
+            # the order in which decompose returns the translate's summands
+            parts = replab.decompose(replab.tau_n(nodes[i], n, "-"))
+            new = [j for j in dict.fromkeys(map(record.locate, parts))
+                   if j in new]
+        for j in new:
+            if len(out) >= cap:
+                raise arquiver.EnumerationError(
+                    f"orbit candidate exceeded cap {cap}")
+            out.append(j)
+            members.add(j)
+    return Subcategory(A, [nodes[i] for i in out], dedupe=False)
 
 
 def _pairs_into(X, n, members_at, first):
@@ -242,7 +272,12 @@ def _right_class(A, fr):
 
 
 def check_fractured(A, fr, M, n, report_all=False):
-    """Translate/syzygy criterion for a fractured subcategory."""
+    """Translate/syzygy criterion for a fractured subcategory.
+
+    When every member of M is a node of A's already computed complete
+    enumeration, the translates and (co)syzygies are read from the
+    enumeration's tables (``_NodeSteps``); otherwise they are computed
+    and decomposed (``_ModuleSteps``).  The report is the same."""
     if n < 2:
         raise ValueError("the fractured criterion needs n >= 2")
     report = VerificationReport("fractured", n)
@@ -258,22 +293,27 @@ def check_fractured(A, fr, M, n, report_all=False):
         return report
     SP = [X for X in M.modules if not PL.contains(X)]
     SI = [X for X in M.modules if not IR.contains(X)]
+    steps = _ModuleSteps(n)
+    record = arquiver._known_enumeration(A)
+    if record is not None:
+        nodes = _NodeSteps(record, n)
+        if None not in nodes.handles(M.modules):
+            steps = nodes
+    sp, si = steps.handles(SP), steps.handles(SI)
     # (a2) the translates give mutually inverse bijections SP <-> SI
-    si_index = arquiver._IsoIndex(SI, dedupe=False)
-    sp_index = arquiver._IsoIndex(SP, dedupe=False)
+    in_si, in_sp = steps.finder(si), steps.finder(sp)
     a2 = True
     hit = set()
-    for X in SP:
-        T = replab.tau_n(X, n, "+")
-        if T.is_zero() or not _is_indecomposable(T):
+    for X, x in zip(SP, sp):
+        t = steps.translate(x, "+")
+        if t is None:
             a2 = False
             report.witness("a2", "forward translate zero or decomposable", X)
             if not report_all:
                 break
             continue
-        j = si_index.find(T)
-        back = replab.tau_n(T, n, "-")
-        if j is None or back.is_zero() or not replab.is_isomorphic(back, X):
+        j = in_si(t)
+        if j is None or not steps.inverts(t, x, "-"):
             a2 = False
             report.witness("a2", "forward translate leaves the target class "
                            "or is not inverted", X)
@@ -282,13 +322,11 @@ def check_fractured(A, fr, M, n, report_all=False):
             continue
         hit.add(j)
     if a2:
-        for j, Y in enumerate(SI):
+        for j, (Y, y) in enumerate(zip(SI, si)):
             if j in hit:
                 continue
-            T = replab.tau_n(Y, n, "-")
-            if (T.is_zero() or not _is_indecomposable(T)
-                    or sp_index.find(T) is None
-                    or not replab.is_isomorphic(replab.tau_n(T, n, "+"), Y)):
+            t = steps.translate(y, "-")
+            if t is None or in_sp(t) is None or not steps.inverts(t, y, "+"):
                 a2 = False
                 report.witness("a2", "backward translate fails", Y)
                 if not report_all:
@@ -297,33 +335,78 @@ def check_fractured(A, fr, M, n, report_all=False):
     if not a2 and not report_all:
         return report
     # (a3)/(a4) intermediate (co)syzygies stay indecomposable
-    a3 = True
-    for X in SP:
-        cur = X
-        for i in range(1, n):
-            cur = replab.syzygy(cur, "+", 1)
-            if cur.is_zero() or not _is_indecomposable(cur):
-                a3 = False
-                report.witness("a3", f"syzygy {i} zero or decomposable", X)
+    for name, direction, word, members, handles in (
+            ("a3", "+", "syzygy", SP, sp), ("a4", "-", "cosyzygy", SI, si)):
+        ok = True
+        for X, x in zip(members, handles):
+            for i in range(1, n):
+                x = steps.syzygy(x, direction)
+                if x is None:
+                    ok = False
+                    report.witness(name, f"{word} {i} zero or decomposable",
+                                   X)
+                    break
+            if not ok and not report_all:
                 break
-        if not a3 and not report_all:
-            break
-    report.record("a3", a3)
-    if not a3 and not report_all:
-        return report
-    a4 = True
-    for Y in SI:
-        cur = Y
-        for i in range(1, n):
-            cur = replab.syzygy(cur, "-", 1)
-            if cur.is_zero() or not _is_indecomposable(cur):
-                a4 = False
-                report.witness("a4", f"cosyzygy {i} zero or decomposable", Y)
-                break
-        if not a4 and not report_all:
-            break
-    report.record("a4", a4)
+        report.record(name, ok)
+        if name == "a3" and not ok and not report_all:
+            return report
     return report
+
+
+class _ModuleSteps:
+    """The steps of ``check_fractured`` on modules: a translate or a
+    (co)syzygy gives the one indecomposable it yields, or None."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def handles(self, modules):
+        return modules
+
+    def finder(self, modules):
+        return arquiver._IsoIndex(modules, dedupe=False).find
+
+    def translate(self, X, direction):
+        T = replab.tau_n(X, self.n, direction)
+        return T if _is_indecomposable(T) else None
+
+    def inverts(self, T, X, direction):
+        """Whether the translate of T in ``direction`` is X."""
+        back = replab.tau_n(T, self.n, direction)
+        return not back.is_zero() and replab.is_isomorphic(back, X)
+
+    def syzygy(self, X, direction):
+        S = replab.syzygy(X, direction, 1)
+        return S if _is_indecomposable(S) else None
+
+
+class _NodeSteps:
+    """The same steps on the nodes of a complete enumeration, read from
+    its record's tables; a node stands for each module."""
+
+    def __init__(self, record, n):
+        self.record = record
+        self.n = n
+
+    def handles(self, modules):
+        return [self.record.position(X) for X in modules]
+
+    def finder(self, nodes):
+        return {x: j for j, x in enumerate(nodes)}.get
+
+    def translate(self, x, direction):
+        return _single(self.record.tau_n([x], self.n, direction))
+
+    def inverts(self, t, x, direction):
+        return self.record.tau_n([t], self.n, direction) == [x]
+
+    def syzygy(self, x, direction):
+        return _single(self.record.syzygy(x, direction))
+
+
+def _single(nodes):
+    return nodes[0] if len(nodes) == 1 else None
 
 
 # -- starlike classification ---------------------------------------------

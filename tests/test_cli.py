@@ -89,6 +89,14 @@ def test_missing_file_is_input_error():
     assert code == 3
 
 
+def test_unwritable_report_is_input_error(capsys):
+    code, _ = run(["nakayama", "--kupisch", "2,1", "emit",
+                   "--json", "/nonexistent/dir/report.json"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_bad_arguments_are_input_errors():
     assert run(["nakayama", "--kupisch", "two,one", "emit"])[0] == 3
     assert run(["starlike", "--arms", "5:sideways", "classify",
@@ -198,3 +206,56 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "count: 5" in proc.stdout
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ("{not json", []),
+    ([1, 2], []),
+    ({"vertices": ["1"], "arrows": [{"id": "a"}]}, []),
+    ({"starlike": [{"m": "x", "dir": "in"}]}, []),
+    ({"kupisch": [2, 1], "modules": [{"dims": {"1": "one"}}]}, []),
+    ({"kupisch": [2, 1], "modules": 5}, []),
+    ({"kupisch": [2, 2, 1], "fracturing": {"left": {"2": [[9, 9]]}}},
+     ["fractured"]),
+    ({"kupisch": [2, 2, 1], "fracturing": {"left": 3}}, ["fractured"]),
+])
+def test_malformed_documents_are_input_errors(tmp_path, capsys, doc, extra):
+    f = tmp_path / "doc.json"
+    f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    action = extra or ["nct"]
+    code, _ = run(["check", *action, str(f), "-n", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_malformed_gluing_system_is_input_error(tmp_path):
+    f = tmp_path / "sys.json"
+    for spec in ({"tree": {"vertices": ["x"]}, "algebras": {}},
+                 {"tree": {"vertices": ["x"], "arrows": []},
+                  "algebras": {"x": {"kupisch": [2, 1]}},
+                  "fracturings": {"y": {}}}):
+        f.write_text(json.dumps(spec))
+        assert run(["glue", "system", str(f), "-n", "2"])[0] == 3
+
+
+def test_missing_levels_are_input_errors(chain_file):
+    assert run(["check", "nct", chain_file])[0] == 3
+    assert run(["check", "fractured", chain_file, "-n", "1"])[0] == 3
+    assert run(["generate", "-s", "0", "-t", "1", "-n", "2"])[0] == 3
+    assert run(["generate", "-s", "1", "-t", "1"])[0] == 3
+    assert run(["starlike", "--arms", "3:in", "classify", "-n", "1"])[0] == 3
+
+
+def test_internal_errors_are_not_input_errors(monkeypatch, chain_file):
+    from arglue import arquiver
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(arquiver, "indecomposables", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["algebra", "indec", chain_file])
+    monkeypatch.setattr(arquiver, "ar_quiver", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["algebra", "ar", chain_file])

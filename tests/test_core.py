@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -133,3 +134,40 @@ def test_parse_algebra_json_round_trip():
     A = chain_four()
     doc = json.loads(json.dumps(A.to_json()))
     assert parse_algebra(doc) == A
+
+
+def _old_reduction(relations):
+    """The relation reduction as a pairwise scan: drop each relation that
+    contains a shorter kept one as a contiguous sub-path."""
+    def contains(path, sub):
+        return any(path[i:i + len(sub)] == sub
+                   for i in range(len(path) - len(sub) + 1))
+
+    kept = []
+    for r in sorted(set(relations), key=lambda r: (len(r), r)):
+        if not any(contains(r, s) for s in kept):
+            kept.append(r)
+    return frozenset(kept)
+
+
+def test_relation_lookups_match_the_scans():
+    rng = random.Random(7)
+    # a 2-cycle with a tail: every relation is a path around it
+    q = Quiver(["1", "2", "3"],
+               [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3")])
+    walks = []
+    for start in ("a", "b"):
+        walk = [start]
+        for _ in range(5):
+            walk.append("b" if walk[-1] == "a" else "a")
+        walks += [tuple(walk[i:j]) for i in range(6) for j in range(i + 2, 7)]
+        walks += [tuple(walk[i:j]) + ("c",) for i in range(6)
+                  for j in range(i + 1, 7) if walk[j - 1] == "a"]
+    for _ in range(40):
+        rels = rng.sample(walks, rng.randint(1, 6)) + [("a", "b", "a")]
+        A = BoundQuiverPresentation(q, rels)
+        assert A.relations == _old_reduction(rels)
+        for _s, t, p in A.all_paths():
+            for a in q.out[t]:
+                assert A._extension_survives(p, a) == A.is_relation_free(
+                    p + (a,))
