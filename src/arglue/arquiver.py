@@ -1,32 +1,36 @@
 """Indecomposable enumeration and Auslander-Reiten quivers.
 
-Enumeration walks the tau-minus orbits of the indecomposable
-projectives; for representation-directed algebras this reaches every
-indecomposable, certified by all injectives showing up.  It records the
-tau-minus image of every node, and the AR quiver is knitted from that
-record: the arrows into P(v) are the summands of rad P(v), and the arrows
-into tau^- W are the arrows out of W (Assem-Simson-Skowronski, Elements
-Vol. 1, IV.4), with no Hom space between two different nodes.
+Every enumerable algebra has one record of its indecomposables, kept on
+the algebra the first time any caller asks for it: the node list, the
+tau-minus image of every node, the node of each P(v) and an isomorphism
+index over the nodes.  Every ``indecomposables``, ``ar_quiver``, orbit
+candidate and fractured check reads that record.
 
-On a cycle quiver the indecomposables are the uniserials, some of whose
-tau-orbits are periodic and hold no projective, so there the arrows come
-from dim rad - dim rad^2, composing Hom bases through every third node.
-That construction is also the tests' reference for the knitted quivers.
+Off a cycle quiver, enumeration walks the tau-minus orbits of the
+indecomposable projectives; for representation-directed algebras this
+reaches every indecomposable, certified by all injectives showing up.
+The AR quiver is knitted from the record: the arrows into P(v) are the
+summands of rad P(v), and the arrows into tau^- W are the arrows out of
+W (Assem-Simson-Skowronski, Elements Vol. 1, IV.4), with no Hom space
+between two different nodes.
 
-A complete enumeration is kept on its algebra, and every later
-``indecomposables`` or ``ar_quiver`` call reads it.  Its record then
-serves per-node tables, each entry a list of node indices filled the
-first time it is read: the summands of Omega and of Omega^- (the latter
-from the cover that translating the node already built), and tau, the
-inverse of the tau-minus record.  As Omega^-, Omega, tau^- and tau are
-additive, tau_n^- of a node is tau^- summand by summand after n - 1
-steps of Omega^-, and tau_n likewise from Omega and tau.  The orbit
-candidate and the fractured check read these tables only when that
-algebra's complete enumeration is already computed; they never
-enumerate to get them.
+On a cycle quiver the indecomposables are the uniserials M(v, l) (top
+S(v), length l), some of whose tau-orbits are periodic and hold no
+projective, so there the record is written down from the (top, length)
+keys (``_cycle_record``): tau M(v, l) = M(v+, l) for v+ the target of
+v's arrow, and the irreducible maps are M(v, l + 1) -> M(v, l) and
+M(v+, l - 1) -> M(v, l) (Elements Vol. 1, V.4).
+
+The record also serves per-node tables, each entry a list of node
+indices: the summands of Omega and of Omega^- (off a cycle filled the
+first time they are read, Omega^- from the cover that translating the
+node already built; on a cycle written down with the record), and tau,
+the inverse of the tau-minus record.  As Omega^-, Omega, tau^- and tau
+are additive, tau_n^- of a node is tau^- summand by summand after n - 1
+steps of Omega^-, and tau_n likewise from Omega and tau.
 """
 
-from . import linalg, replab
+from . import replab
 
 
 class EnumerationError(RuntimeError):
@@ -90,11 +94,12 @@ class _IsoIndex:
 
 
 class _Record:
-    """What translating each node once leaves behind: per node, the index
-    of its tau-minus image, None when the node is injective; per vertex v,
-    the index of P(v); and the isomorphism index over all nodes.
+    """What translating each node once leaves behind (or, on a cycle
+    quiver, the closed form gives): per node, the index of its tau-minus
+    image, None when the node is injective; per vertex v, the index of
+    P(v); and the isomorphism index over all nodes.
 
-    On a complete enumeration it also answers, per node, the node indices
+    On a complete list it also answers, per node, the node indices
     of the summands of its syzygy, cosyzygy and translates, each table
     filled the first time it is read.
     """
@@ -105,6 +110,7 @@ class _Record:
         self.projective = {}
         self.cosyzygy = {}   # node -> Omega^- module, until decomposed
         self._syzygies = {"+": {}, "-": {}}   # direction -> node -> nodes
+        self.arrows = None   # cycle quivers: {(i, j): multiplicity}
         self._tau = None
         self._positions = None
 
@@ -209,12 +215,66 @@ def _is_cycle(q):
                     for v in q.vertices))
 
 
-def _complete_enumeration(A, cap):
-    """The record of ``_enumerate``, or EnumerationError when the orbits
-    of the projectives do not certify a complete list.  A complete record
-    is kept on A and answers every later call whose cap it fits; a failed
-    enumeration is not kept."""
-    record = _known_enumeration(A)
+def _cycle_record(A):
+    """The record of a cycle quiver's uniserials, with its Omega and
+    Omega^- tables and the irreducible-map multiplicities as ``arrows``,
+    all in closed form.
+
+    M(v, l) is the uniserial with top S(v) and length l, 1 <= l <= c_v =
+    dim P(v), so M(v, c_v) = P(v); the nodes are in ``uniserial_modules``
+    order.  With v+ the target of v's arrow and t the socle vertex of
+    M(v, l) (Assem-Simson-Skowronski, Elements Vol. 1, V.4):
+    tau M(v, l) = M(v+, l) for l < c_v; Omega M(v, l) = rad^l P(v) =
+    M(t+, c_v - l); Omega^- M(v, l) = I(t) / M(v, l) = M(u, m - l) for
+    I(t) = M(u, m); and the arrows into M(v, l) come from M(v, l + 1)
+    when l < c_v and from its radical M(v+, l - 1) when l >= 2, each with
+    multiplicity 1.
+    """
+    q = A.quiver
+    length = {v: len(A.paths_from(v)) for v in q.vertices}
+    succ = {v: q.tgt[q.out[v][0]] for v in q.vertices}
+    keys, socle = [], []
+    for v in sorted(q.vertices):
+        t = v
+        for l in range(1, length[v] + 1):
+            keys.append((v, l))
+            socle.append(t)
+            t = succ[t]
+    at = {key: i for i, key in enumerate(keys)}
+    injective = {}   # vertex t -> node of I(t), the longest with socle t
+    for i, t in enumerate(socle):
+        if t not in injective or keys[i][1] > keys[injective[t]][1]:
+            injective[t] = i
+    record = _Record(_IsoIndex(replab.uniserial_modules(A), dedupe=False))
+    record.tau_minus = [None] * len(keys)
+    omega, coomega = record._syzygies["+"], record._syzygies["-"]
+    arrows = {}
+    for j, (v, l) in enumerate(keys):
+        u, m = keys[injective[socle[j]]]
+        omega[j] = ([at[(succ[socle[j]], length[v] - l)]]
+                    if l < length[v] else [])
+        coomega[j] = [at[(u, m - l)]] if l < m else []
+        if l < length[v]:
+            record.tau_minus[at[(succ[v], l)]] = j
+            arrows[(at[(v, l + 1)], j)] = 1
+        if l >= 2:
+            arrows[(at[(succ[v], l - 1)], j)] = 1
+    record.projective = {v: at[(v, length[v])] for v in q.vertices}
+    record.arrows = dict(sorted(arrows.items()))
+    return record
+
+
+def _complete_enumeration(A, cap=4096):
+    """The record of A's indecomposables, or EnumerationError when the
+    orbits of the projectives do not certify a complete list within cap.
+
+    On a cycle quiver the orbits of the projectives miss the periodic
+    ones, so the record is built in closed form there (``cap`` does not
+    apply).  A complete record is kept on A and answers every later call
+    whose cap it fits; a failed enumeration is not kept."""
+    if _is_cycle(A.quiver):
+        return replab._memo(A, "enumeration", lambda: _cycle_record(A))
+    record = replab._memo_get(A, "enumeration")
     if record is not None and len(record.tau_minus) <= cap:
         return record
     _reps, complete, capped, record = _enumerate(A, cap=cap)
@@ -229,82 +289,8 @@ def _complete_enumeration(A, cap):
     return replab._memo(A, "enumeration", lambda: record)
 
 
-def _known_enumeration(A):
-    """The record of A's complete enumeration if one was already made,
-    else None; never enumerates."""
-    return replab._memo_get(A, "enumeration")
-
-
 def indecomposables(A, cap=4096):
-    if _is_cycle(A.quiver):
-        # On a cycle quiver every indecomposable is uniserial, and some
-        # tau-orbits are periodic without ever meeting a projective, so
-        # knitting from the projectives would silently under-enumerate.
-        return replab.uniserial_modules(A)
     return list(_complete_enumeration(A, cap).index.reps)
-
-
-def _translate_each(A, reps):
-    """The record that ``_enumerate`` keeps, for an already complete list
-    (the uniserials of a cycle quiver)."""
-    record = _Record(_IsoIndex(reps, dedupe=False))
-    for rep in reps:
-        T = replab.ar_translate(rep, "-")
-        j = None
-        if not T.is_zero():
-            j = record.index.find(T)
-            if j is None:
-                raise EnumerationError(
-                    "tau image left the enumerated set (bug)")
-        record.tau_minus.append(j)
-    for v in A.quiver.vertices:
-        i = record.index.find(replab.projective(A, v))
-        if i is not None:
-            record.projective[v] = i
-    return record
-
-
-def _radical_arrows(reps):
-    """Irreducible-map multiplicities {(i, j): dim rad - dim rad^2} between
-    pairwise non-isomorphic bricks, in sorted (i, j) order.
-
-    rad(X, Y) = Hom(X, Y) here, and rad^2(X, Y) is spanned by the
-    composites of Hom bases through every third node.
-    """
-    n = len(reps)
-    homdims = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d = replab.hom_dim(reps[i], reps[j])
-                if d:
-                    homdims[(i, j)] = d
-    hom_bases = {}
-    arrows = {}
-    for (i, j), d in sorted(homdims.items()):
-        vecs = []
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            if (i, k) in homdims and (k, j) in homdims:
-                if (i, k) not in hom_bases:
-                    hom_bases[(i, k)] = replab.hom_basis(reps[i], reps[k])
-                if (k, j) not in hom_bases:
-                    hom_bases[(k, j)] = replab.hom_basis(reps[k], reps[j])
-                for f in hom_bases[(i, k)]:
-                    for g in hom_bases[(k, j)]:
-                        comp = g.compose(f)
-                        vec = []
-                        # a vertex off either support adds no entries
-                        for v in reps[i].algebra.quiver.vertices:
-                            for row in comp.mats.get(v, ()):
-                                vec.extend(row)
-                        vecs.append(vec)
-        rad2 = linalg.rank(vecs) if vecs else 0
-        mult = d - rad2
-        if mult:
-            arrows[(i, j)] = mult
-    return arrows
 
 
 def _knit(A, record):
@@ -348,13 +334,9 @@ def ar_quiver(A, cap=4096):
     """AR quiver of a representation-directed algebra, or of a Nakayama
     algebra on a cycle quiver.  Arrows are knitted from the tau-minus
     orbits of the projectives; on a cycle quiver, whose periodic orbits
-    hold no projective to start from, they are dim rad - dim rad^2."""
-    cycle = _is_cycle(A.quiver)
-    if cycle:
-        reps = replab.uniserial_modules(A)
-    else:
-        record = _complete_enumeration(A, cap)
-        reps = record.index.reps
+    hold no projective to start from, they come with its record."""
+    record = _complete_enumeration(A, cap)
+    reps = record.index.reps
     # stable ids
     seen = {}
     nodes = []
@@ -364,10 +346,10 @@ def ar_quiver(A, cap=4096):
         seen[dv] = k + 1
         dvs = ",".join(str(d) for d in dv)
         nodes.append(ARNode(f"({dvs})@{k}", rep))
-    # brick sanity (knitting and the radical formulas rely on it).  Off a
+    # brick sanity (knitting and the cycle formulas rely on it).  Off a
     # cycle, enumeration certifies every node but the P(v), and
     # dim End P(v) = dim P(v)_v
-    if cycle:
+    if _is_cycle(A.quiver):
         bricks = all(replab.hom_dim(rep, rep) == 1 for rep in reps)
     else:
         bricks = all(reps[i].dim[v] == 1 for v, i in record.projective.items())
@@ -375,8 +357,6 @@ def ar_quiver(A, cap=4096):
         raise EnumerationError(
             "non-brick indecomposable found; AR quiver assembly "
             "supports representation-directed algebras only")
-    if cycle:
-        record = _translate_each(A, reps)
     for i in record.projective.values():
         nodes[i].is_projective = True
     for i, t in enumerate(record.tau_minus):
@@ -384,7 +364,7 @@ def ar_quiver(A, cap=4096):
             nodes[i].is_injective = True
     tau = {nodes[j].id: nodes[i].id for j, i in enumerate(record.tau())
            if i is not None}
-    by_index = _radical_arrows(reps) if cycle else _knit(A, record)
+    by_index = _knit(A, record) if record.arrows is None else record.arrows
     arrows = {(nodes[i].id, nodes[j].id): mult
               for (i, j), mult in by_index.items()}
     return ARData(A, nodes, arrows, tau)

@@ -35,7 +35,8 @@ def _malformed(what):
         yield
     except AlgebraError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, AttributeError, KeyError, TypeError,
+            ValueError) as e:
         raise CliError(f"malformed {what}: {e}")
 
 

@@ -94,9 +94,6 @@ class BoundQuiverPresentation:
         self._grow_basis()
 
     # -- path helpers ---------------------------------------------------
-    def path_source(self, path, base=None):
-        return self.quiver.src[path[0]] if path else base
-
     def path_target(self, path, base=None):
         return self.quiver.tgt[path[-1]] if path else base
 
@@ -143,10 +140,6 @@ class BoundQuiverPresentation:
 
     def paths_from(self, v):
         return list(self._paths_by_source[v])
-
-    def paths_between(self, i, j):
-        return [p for p in self._paths_by_source[i]
-                if self.path_target(p, i) == j]
 
     # -- structural equality --------------------------------------------
     def structure_key(self):

@@ -489,17 +489,19 @@ def _labeled_projective(A, blocks):
 
 
 def cover_data(M):
-    """Minimal projective cover of M with labels, plus the kernel.
-
-    Returns (P: LabeledProjective, gens, K: Representation, E) where E
-    maps each vertex of P's support to the embedding matrix of K_v into
-    P_v (columns in P's labeled coordinates).
-    """
-    A = M.algebra
-    q = A.quiver
+    """Minimal projective cover of M with labels: (P: LabeledProjective,
+    gens), where gens lists the top generators of M as (vertex,
+    coordinate) and P has one block per generator.  ``_cover_kernel``
+    takes the kernel."""
     gens = top_generators(M)
-    P = _labeled_projective(A, [v for v, _ in gens])
-    # kernel of the cover map, vertex by vertex
+    return _labeled_projective(M.algebra, [v for v, _ in gens]), gens
+
+
+def _cover_kernel(M, P, gens):
+    """(K, E) for the cover (P, gens) of M: the kernel K of the cover map,
+    and per vertex of P's support the embedding matrix E of K_v into P_v
+    (columns in P's labeled coordinates)."""
+    q = M.algebra.quiver
     E = {}
     kdim = {}
     for x, n in P.rep.dim.items():
@@ -532,8 +534,7 @@ def cover_data(M):
                     raise RuntimeError(
                         "kernel is not a subrepresentation (bug)")
                 kmats[a] = sol
-    K = Representation(A, kdim, kmats, check=False)
-    return P, gens, K, E
+    return Representation(M.algebra, kdim, kmats, check=False), E
 
 
 # -- minimal projective resolutions in path coordinates -----------------
@@ -543,35 +544,42 @@ class Resolution:
 
     ``levels[i]`` is (blocks, pathmat): blocks are the cover vertices of
     the i-th syzygy, and for i >= 1 pathmat[j] expresses the image of
-    generator j as {(block_of_level_{i-1}, path): coefficient}.
+    generator j as {(block_of_level_{i-1}, path): coefficient}.  The
+    kernel of level i's cover is taken when level i + 1 is first built,
+    or when ``kernel(i)`` reads it.
     """
 
     def __init__(self, M):
         self.module = M
         self.levels = []
-        self.finished = False
-        self._state = None  # (K, E, prev LabeledProjective)
-        self._step0()
+        self.finished = M.is_zero()
+        self._deepest = None  # (syzygy, P, gens) of the deepest level
+        self._kernel = None   # (K, E) of that level's cover, once taken
+        if not self.finished:
+            P, gens = cover_data(M)
+            self.levels.append(([v for v, _ in gens], None))
+            self._deepest = (M, P, gens)
 
-    def _step0(self):
-        M = self.module
-        if M.is_zero():
-            self.finished = True
-            return
-        P, gens, K, E = cover_data(M)
-        self.levels.append(([v for v, _ in gens], None))
-        self._state = (K, E, P)
+    def kernel(self, i):
+        """(K, E) of level i's cover (see ``_cover_kernel``): K is
+        Omega^(i+1) of the module.  Only the deepest level's is at hand."""
+        if i != len(self.levels) - 1:
+            raise RuntimeError(f"level {i} is not the deepest level")
+        if self._kernel is None:
+            self._kernel = _cover_kernel(*self._deepest)
+        return self._kernel
 
     def extend_to(self, depth, cap=32):
         while len(self.levels) <= depth and not self.finished:
             if len(self.levels) > cap:
                 raise ResolutionCapError(
                     f"projective resolution exceeds cap {cap}")
-            K, E, Pprev = self._state
+            K, E = self.kernel(len(self.levels) - 1)
             if K.is_zero():
                 self.finished = True
                 return
-            P, gens, K2, E2 = cover_data(K)
+            Pprev = self._deepest[1]
+            P, gens = cover_data(K)
             pathmat = []
             for w, idx in gens:
                 col = [E[w][r][idx] for r in range(len(E[w]))]
@@ -581,7 +589,7 @@ class Resolution:
                         entry[Pprev.basis[w][r]] = c
                 pathmat.append(entry)
             self.levels.append(([v for v, _ in gens], pathmat))
-            self._state = (K2, E2, P)
+            self._deepest, self._kernel = (K, P, gens), None
 
     def blocks(self, i):
         return self.levels[i][0] if i < len(self.levels) else []
@@ -680,8 +688,7 @@ def ext_dim(M, N, i, cap=32):
 def _syzygy_once(M):
     if M.is_zero():
         return M
-    _, _, K, _ = cover_data(M)
-    return K
+    return _cover_kernel(M, *cover_data(M))[0]
 
 
 def syzygy(M, direction, steps):
@@ -776,7 +783,7 @@ def cosyzygy_and_translate(M):
     tau^- M."""
     D = dual(M)
     res = resolution_of(D)
-    K = res._state[0] if res._state is not None else D
+    K = res.kernel(0)[0] if res.levels else D
     return dual(K), transpose_module(D)
 
 

@@ -64,64 +64,34 @@ class VerificationReport:
         return f"VerificationReport({self.kind}, n={self.n}, {state})"
 
 
-def _is_indecomposable(M):
-    if M.is_zero():
-        return False
-    return len(replab.decompose(M)) == 1
-
-
 def tau_orbit_candidate(A, n, cap=4096):
     """Closure of the projectives under the inverse n-fold translate, the
     canonical candidate subcategory.
 
-    When A's complete enumeration is already known, the members are its
-    nodes, found by walking the record's tables; otherwise each member's
-    translate is computed and decomposed.  Both give the members in the
-    same order."""
+    The members are nodes of A's complete enumeration (EnumerationError
+    when there is none within cap), found by walking the record's tables
+    breadth-first from the sorted P(v).  When one member's translate holds
+    two or more new classes, they are taken in the order in which
+    ``decompose`` returns that translate's summands."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Subcategory(A, arquiver.indecomposables(A, cap=cap),
                            dedupe=False)
-    record = arquiver._known_enumeration(A)
-    if record is not None:
-        return _orbit_of_nodes(A, n, cap, record)
-    index = arquiver._IsoIndex(
-        replab.projective(A, v) for v in sorted(A.quiver.vertices))
-    out = index.reps
-    # the queue is the member list itself, each member translated once
-    for M in out:
-        T = replab.tau_n(M, n, "-")
-        if T.is_zero():
-            continue
-        for part in replab.decompose(T):
-            if index.find(part) is None:
-                if len(out) >= cap:
-                    raise arquiver.EnumerationError(
-                        f"orbit candidate exceeded cap {cap}")
-                index.add(part)
-    return Subcategory(A, out, dedupe=False)
-
-
-def _orbit_of_nodes(A, n, cap, record):
-    """``tau_orbit_candidate`` on the nodes of a complete enumeration."""
+    record = arquiver._complete_enumeration(A, cap)
     nodes = record.index.reps
     out = [record.projective[v] for v in sorted(A.quiver.vertices)]
     members = set(out)
+    # the queue is the member list itself, each member translated once
     for i in out:
         new = [j for j in dict.fromkeys(record.tau_n([i], n, "-"))
                if j not in members]
         if len(new) > 1:
-            # the order in which decompose returns the translate's summands
             parts = replab.decompose(replab.tau_n(nodes[i], n, "-"))
             new = [j for j in dict.fromkeys(map(record.locate, parts))
                    if j in new]
-        for j in new:
-            if len(out) >= cap:
-                raise arquiver.EnumerationError(
-                    f"orbit candidate exceeded cap {cap}")
-            out.append(j)
-            members.add(j)
+        out.extend(new)
+        members.update(new)
     return Subcategory(A, [nodes[i] for i in out], dedupe=False)
 
 
@@ -274,12 +244,15 @@ def _right_class(A, fr):
 def check_fractured(A, fr, M, n, report_all=False):
     """Translate/syzygy criterion for a fractured subcategory.
 
-    When every member of M is a node of A's already computed complete
-    enumeration, the translates and (co)syzygies are read from the
-    enumeration's tables (``_NodeSteps``); otherwise they are computed
-    and decomposed (``_ModuleSteps``).  The report is the same."""
+    The translates and (co)syzygies of the members are read from the
+    tables of A's complete enumeration (EnumerationError when there is
+    none); a member that is no node is matched to its node up to
+    isomorphism, and AlgebraError names a member that matches none, i.e.
+    one that is not indecomposable."""
     if n < 2:
         raise ValueError("the fractured criterion needs n >= 2")
+    steps = _NodeSteps(arquiver._complete_enumeration(A), n)
+    handles = steps.handles(M.modules)
     report = VerificationReport("fractured", n)
     PL = _left_class(A, fr)
     IR = _right_class(A, fr)
@@ -291,20 +264,14 @@ def check_fractured(A, fr, M, n, report_all=False):
                   f"{len(missing)} missing" if missing else "")
     if missing and not report_all:
         return report
-    SP = [X for X in M.modules if not PL.contains(X)]
-    SI = [X for X in M.modules if not IR.contains(X)]
-    steps = _ModuleSteps(n)
-    record = arquiver._known_enumeration(A)
-    if record is not None:
-        nodes = _NodeSteps(record, n)
-        if None not in nodes.handles(M.modules):
-            steps = nodes
-    sp, si = steps.handles(SP), steps.handles(SI)
+    SP = [(X, x) for X, x in zip(M.modules, handles) if not PL.contains(X)]
+    SI = [(X, x) for X, x in zip(M.modules, handles) if not IR.contains(X)]
     # (a2) the translates give mutually inverse bijections SP <-> SI
-    in_si, in_sp = steps.finder(si), steps.finder(sp)
+    in_si = steps.finder([y for _, y in SI])
+    in_sp = steps.finder([x for _, x in SP])
     a2 = True
     hit = set()
-    for X, x in zip(SP, sp):
+    for X, x in SP:
         t = steps.translate(x, "+")
         if t is None:
             a2 = False
@@ -322,7 +289,7 @@ def check_fractured(A, fr, M, n, report_all=False):
             continue
         hit.add(j)
     if a2:
-        for j, (Y, y) in enumerate(zip(SI, si)):
+        for j, (Y, y) in enumerate(SI):
             if j in hit:
                 continue
             t = steps.translate(y, "-")
@@ -335,10 +302,10 @@ def check_fractured(A, fr, M, n, report_all=False):
     if not a2 and not report_all:
         return report
     # (a3)/(a4) intermediate (co)syzygies stay indecomposable
-    for name, direction, word, members, handles in (
-            ("a3", "+", "syzygy", SP, sp), ("a4", "-", "cosyzygy", SI, si)):
+    for name, direction, word, members in (
+            ("a3", "+", "syzygy", SP), ("a4", "-", "cosyzygy", SI)):
         ok = True
-        for X, x in zip(members, handles):
+        for X, x in members:
             for i in range(1, n):
                 x = steps.syzygy(x, direction)
                 if x is None:
@@ -354,43 +321,30 @@ def check_fractured(A, fr, M, n, report_all=False):
     return report
 
 
-class _ModuleSteps:
-    """The steps of ``check_fractured`` on modules: a translate or a
-    (co)syzygy gives the one indecomposable it yields, or None."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def handles(self, modules):
-        return modules
-
-    def finder(self, modules):
-        return arquiver._IsoIndex(modules, dedupe=False).find
-
-    def translate(self, X, direction):
-        T = replab.tau_n(X, self.n, direction)
-        return T if _is_indecomposable(T) else None
-
-    def inverts(self, T, X, direction):
-        """Whether the translate of T in ``direction`` is X."""
-        back = replab.tau_n(T, self.n, direction)
-        return not back.is_zero() and replab.is_isomorphic(back, X)
-
-    def syzygy(self, X, direction):
-        S = replab.syzygy(X, direction, 1)
-        return S if _is_indecomposable(S) else None
-
-
 class _NodeSteps:
-    """The same steps on the nodes of a complete enumeration, read from
-    its record's tables; a node stands for each module."""
+    """The steps of ``check_fractured`` on the nodes of a complete
+    enumeration, read from its record's tables: a translate or a
+    (co)syzygy gives the one node it yields, or None."""
 
     def __init__(self, record, n):
         self.record = record
         self.n = n
 
     def handles(self, modules):
-        return [self.record.position(X) for X in modules]
+        """The node of each module: the module itself when it is a node,
+        else the node isomorphic to it; AlgebraError when there is none,
+        as the record holds every indecomposable."""
+        out = []
+        for X in modules:
+            i = self.record.position(X)
+            if i is None:
+                i = self.record.index.find(X)
+                if i is None:
+                    raise AlgebraError(
+                        f"member with dimension vector {list(X.dim_vector())}"
+                        " is not indecomposable")
+            out.append(i)
+        return out
 
     def finder(self, nodes):
         return {x: j for j, x in enumerate(nodes)}.get
@@ -477,11 +431,13 @@ def generate_sinks_sources(s, t, n):
         raise ValueError("need s >= 1 and t >= 1")
     if n < 2:
         raise ValueError("need n >= 2")
+    # blocks of one shape share one algebra, so each shape is enumerated
+    # once
+    sink = starlike([(n + 1, "out"), (n + 1, "out"), (n, "in")])
+    source = starlike([(n + 1, "in"), (n + 1, "in"), (n, "out")])
     blocks = {0: starlike([(n + 1, "out")])}
-    for j in range(1, t):
-        blocks[j] = starlike([(n + 1, "out"), (n + 1, "out"), (n, "in")])
-    for j in range(1, s):
-        blocks[-j] = starlike([(n + 1, "in"), (n + 1, "in"), (n, "out")])
+    blocks.update((j, sink) for j in range(1, t))
+    blocks.update((-j, source) for j in range(1, s))
     edges = []
     for j in range(1, t):
         u, v = j, j - 1

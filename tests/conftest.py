@@ -88,11 +88,11 @@ def random_acyclic_series(rng, lmax=10, dmax=5):
     return KupischSeries(d, cyclic=False)
 
 
-def random_cyclic_series(rng, lmax=10, dmax=5):
-    """Random valid cyclic Kupisch series (entries capped at the cycle
-    length so every uniserial module is a brick)."""
+def random_cyclic_series(rng, lmax=10, dmax=5, brick=True):
+    """Random valid cyclic Kupisch series; with ``brick`` the entries are
+    capped at the cycle length so every uniserial module is a brick."""
     length = rng.randint(2, lmax)
-    cap = min(dmax, length)
+    cap = min(dmax, length) if brick else dmax
     d = [rng.randint(2, cap) for _ in range(length)]
     for _ in range(2 * length):
         for i in range(length):

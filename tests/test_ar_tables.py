@@ -1,22 +1,27 @@
-"""The per-node AR tables of a complete enumeration against the loops
-they replace, and the memo that keeps one enumeration per algebra.
+"""The per-node AR tables of an algebra's record against the loops they
+replace, and the memo that keeps one record per algebra.
 
-With tables off (``arquiver._known_enumeration`` answering None), the
-orbit candidate and the fractured check compute and decompose every
-translate and (co)syzygy themselves; that path is the oracle here.
+The oracle computes and decomposes every translate and (co)syzygy
+itself: ``oracles.loop_candidate`` builds the orbit candidate member by
+member, and ``oracles.ModuleSteps``, patched in for
+``verifier._NodeSteps``, runs the fractured check on modules.
 """
 
 import itertools
 import random
+import re
 
 import pytest
 
-from arglue import arquiver, replab
+from arglue import arquiver, replab, verifier
 from arglue import fracture as fx
-from arglue.core import KupischSeries, linear_a, nakayama, starlike
+from arglue.core import (AlgebraError, BoundQuiverPresentation, KupischSeries,
+                         Quiver, linear_a, nakayama, starlike)
 from arglue.gluing import GluingSpec, glue
-from arglue.verifier import (check_fractured, check_nct, starlike_rep_finite,
-                             tau_orbit_candidate)
+from arglue.verifier import (Subcategory, check_fractured, check_nct,
+                             starlike_rep_finite, tau_orbit_candidate)
+from conftest import random_cyclic_series
+from oracles import ModuleSteps, loop_candidate
 
 
 def _starlike_shapes():
@@ -52,11 +57,20 @@ def _assert_same_candidates(loop, table):
         assert replab.is_isomorphic(X, Y)
 
 
+def _outcome(fn):
+    """fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (replab.DecompositionError, arquiver.EnumerationError) as e:
+        return type(e).__name__, str(e)
+
+
 def _compare(monkeypatch, A, levels, fractured=(), cap=4096):
-    """Candidates and reports with tables off, then on; both must agree,
-    and with tables on every member is a node of the enumeration.
+    """Candidates and reports by the loop, then from the tables; both must
+    agree, and from the tables every member is a node of the record.
     ``fractured`` lists the ``report_all`` values to check the fractured
-    criterion with, for the trivial fracturing."""
+    criterion with, for the trivial fracturing.  Where the loop raises,
+    the tables must raise the same."""
     ind = arquiver.indecomposables(A, cap=cap)
     fr = fx.trivial_fracturing(A) if fractured else None
     nodes = {id(X) for X in ind}
@@ -65,13 +79,20 @@ def _compare(monkeypatch, A, levels, fractured=(), cap=4096):
         for tables in (False, True):
             with monkeypatch.context() as mp:
                 if not tables:
-                    mp.setattr(arquiver, "_known_enumeration", lambda A: None)
-                M = tau_orbit_candidate(A, n, cap=cap)
-                reports = [check_nct(A, M, n, indecs=ind).to_json()]
-                if fractured:
+                    mp.setattr(verifier, "_NodeSteps", ModuleSteps)
+                candidate = tau_orbit_candidate if tables else loop_candidate
+
+                def run():
+                    M = candidate(A, n, cap=cap)
+                    reports = [check_nct(A, M, n, indecs=ind).to_json()]
                     reports += [check_fractured(A, fr, M, n, report_all=r)
                                 .to_json() for r in fractured]
-                got[tables] = M, reports
+                    return M, reports
+
+                got[tables] = _outcome(run)
+        if isinstance(got[False][0], str):
+            assert got[True] == got[False], n
+            continue
         (loop, want), (table, have) = got[False], got[True]
         _assert_same_candidates(loop, table)
         assert have == want, n
@@ -106,8 +127,7 @@ def test_translate_with_several_new_summands_keeps_decompose_order(
     # the table path orders them as decompose orders the translate
     rays = [(2, "in"), (3, "in"), (7, "in")]
     A = starlike(rays)
-    arquiver.indecomposables(A)
-    record = arquiver._known_enumeration(A)
+    record = arquiver._complete_enumeration(A)
     members = set(record.projective.values())
     several = False
     for X in tau_orbit_candidate(A, 2).modules:
@@ -118,28 +138,87 @@ def test_translate_with_several_new_summands_keeps_decompose_order(
     _compare(monkeypatch, starlike(rays), [2])
 
 
-def test_fractured_members_that_are_not_nodes_use_the_loop(monkeypatch):
+def test_cyclic_nakayama_candidates_and_reports_match_the_loop(monkeypatch):
+    # the closed-form tables never decompose, so where the loop meets a
+    # translate that is not a brick it fails and the tables still answer;
+    # the fractured oracle decomposes every step, so it runs on bricks
+    rng = random.Random(20260823)
+    outcomes = set()
+    for k in range(24):
+        brick = k % 2 == 0
+        A = nakayama(random_cyclic_series(rng, 5, 8, brick))
+        for n in range(2, 5):
+            loop = _outcome(lambda: loop_candidate(A, n))
+            outcomes.add((brick, isinstance(loop, tuple)))
+            if isinstance(loop, tuple):
+                assert not brick
+                assert loop[0] == "DecompositionError"
+                tau_orbit_candidate(A, n)
+            else:
+                _compare(monkeypatch, A, [n],
+                         fractured=[False, True] if brick else ())
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_cyclic_tables_match_the_modules():
+    rng = random.Random(20260823)
+    for k in range(24):
+        A = nakayama(random_cyclic_series(rng, 5, 8, k % 2 == 0))
+        record = arquiver._complete_enumeration(A)
+        reps = record.index.reps
+        for i, rep in enumerate(reps):
+            for direction in "+-":
+                S = replab.syzygy(rep, direction, 1)
+                got = [reps[j] for j in record.syzygy(i, direction)]
+                assert len(got) == (0 if S.is_zero() else 1)
+                assert all(replab.is_isomorphic(S, X) for X in got)
+
+
+def _not_directed():
+    """Enumeration reports 31 nodes as complete, though the algebra is not
+    representation-directed: rad P(3) = S(4) lies outside the
+    preprojective component."""
+    arrows = [("b", "0", "1"), ("c", "1", "3"), ("d", "3", "4"),
+              ("e", "4", "5"), ("f", "0", "5"), ("g", "2", "5")]
+    return BoundQuiverPresentation(
+        Quiver([str(i) for i in range(6)], arrows), [("c", "d"), ("d", "e")])
+
+
+def test_complete_but_not_directed_algebra_matches_the_loop(monkeypatch):
+    A = _not_directed()
+    assert len(arquiver.indecomposables(A)) == 31
+    assert not arquiver.is_representation_directed(A)[0]
+    _compare(monkeypatch, A, range(2, 5), fractured=[False, True])
+
+
+def test_fractured_members_that_are_not_nodes_give_the_same_report():
     G = _glued_nakayama([3, 3, 3, 2, 1], 0)
     fr = fx.trivial_fracturing(G)
-    M = tau_orbit_candidate(G, 2)       # before enumeration: not nodes
-    want = check_fractured(G, fr, M, 2).to_json()
-    arquiver.indecomposables(G)
-    calls = []
-    tau_n = replab.tau_n
+    M = tau_orbit_candidate(G, 2)
+    # the members as a module dump reads them back, in the loop's bases
+    copies = Subcategory(G, [replab.rep_from_json(G, replab.rep_to_json(X))
+                             for X in loop_candidate(G, 2).modules])
+    record = arquiver._complete_enumeration(G)
+    assert all(record.position(X) is None for X in copies.modules)
+    for report_all in (False, True):
+        assert (check_fractured(G, fr, copies, 2, report_all).to_json()
+                == check_fractured(G, fr, M, 2, report_all).to_json())
 
-    def counted(*args):
-        calls.append(args)
-        return tau_n(*args)
 
-    monkeypatch.setattr(replab, "tau_n", counted)
-    assert check_fractured(G, fr, M, 2).to_json() == want
-    assert calls
+def test_decomposable_fractured_member_is_an_input_error():
+    G = _glued_nakayama([3, 3, 3, 2, 1], 0)
+    M = tau_orbit_candidate(G, 2)
+    X, Y = M.modules[-2:]
+    total = replab.direct_sum(G, [X, Y])
+    with pytest.raises(AlgebraError,
+                       match=re.escape(str(list(total.dim_vector())))):
+        check_fractured(G, fx.trivial_fracturing(G),
+                        Subcategory(G, M.modules + [total]), 2)
 
 
 def test_tables_answer_known_translates():
     A = linear_a(4)
-    arquiver.indecomposables(A)
-    record = arquiver._known_enumeration(A)
+    record = arquiver._complete_enumeration(A)
     reps = record.index.reps
     for i, rep in enumerate(reps):
         for direction in "+-":
@@ -177,9 +256,9 @@ def test_capped_enumeration_raises_every_time_and_is_not_kept(monkeypatch):
         with pytest.raises(arquiver.EnumerationError):
             arquiver.indecomposables(A, cap=4)
     assert calls == [4, 4]
-    assert arquiver._known_enumeration(A) is None
+    assert replab._memo_get(A, "enumeration") is None
     full = arquiver.indecomposables(A)
-    assert arquiver._known_enumeration(A) is not None
+    assert replab._memo_get(A, "enumeration") is not None
     # a smaller cap than the known list still raises, from a new run
     with pytest.raises(arquiver.EnumerationError):
         arquiver.indecomposables(A, cap=len(full) - 1)

@@ -8,7 +8,8 @@ from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
 from arglue.gluing import GluingSpec, glue
 from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
                       orbit_four_fixture, rad2_chain, random_acyclic_series,
-                      right_ab)
+                      random_cyclic_series, right_ab)
+from oracles import eager_levels, radical_arrows, translate_each
 
 
 def test_indecomposable_counts():
@@ -76,7 +77,7 @@ def _oracle_parts(A, reps):
     tau = [(ids[i], ids[index.find(replab.ar_translate(rep, "+"))])
            for i, rep in enumerate(reps) if i not in proj]
     arrows = [((ids[i], ids[j]), mult)
-              for (i, j), mult in arquiver._radical_arrows(reps).items()]
+              for (i, j), mult in radical_arrows(reps).items()]
     return ids, markers, arrows, tau
 
 
@@ -141,6 +142,42 @@ def test_knitted_ar_quiver_matches_radical_oracle():
             A.to_json()
 
 
+def test_cycle_record_matches_translating_each_uniserial():
+    # tau^- and the P(v) of the closed form against translating every
+    # uniserial and looking it up; the arrows against rad/rad^2 where
+    # every uniserial is a brick
+    rng = random.Random(20260823)
+    for k in range(16):
+        brick = k % 2 == 0
+        A = nakayama(random_cyclic_series(rng, lmax=5, dmax=8, brick=brick))
+        record = arquiver._cycle_record(A)
+        reps = record.index.reps
+        assert [replab.rep_to_json(X) for X in reps] == [
+            replab.rep_to_json(X) for X in replab.uniserial_modules(A)]
+        assert translate_each(A, reps) == (record.tau_minus,
+                                           record.projective)
+        if brick:
+            assert list(record.arrows.items()) == list(
+                radical_arrows(reps).items())
+
+
+def test_lazy_resolution_levels_match_eager_build():
+    # kernels are taken only when the next level is built; the levels
+    # must be those of taking every kernel with its cover, whether the
+    # resolution grows at once or a level at a time
+    for A in _knit_corpus():
+        for X in arquiver.indecomposables(A):
+            for M in (X, replab.dual(X)):
+                want = eager_levels(M, 4)
+                at_once = replab.Resolution(M)
+                at_once.extend_to(4)
+                stepwise = replab.Resolution(M)
+                for depth in range(5):
+                    stepwise.extend_to(depth)
+                assert at_once.levels == want
+                assert stepwise.levels == want
+
+
 def test_linear_a_has_triangle_of_simple_arrows():
     for h in range(1, 11):
         ar = arquiver.ar_quiver(linear_a(h))
@@ -149,7 +186,7 @@ def test_linear_a_has_triangle_of_simple_arrows():
 
 
 def test_cyclic_ar_quiver_pinned():
-    # values of the rad/rad^2 construction, which this quiver keeps
+    # values of the rad/rad^2 construction
     A = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))
     ar = arquiver.ar_quiver(A)
     assert ar.node_count() == 18

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from arglue import cli
 from arglue.cli import run
 from arglue.core import KupischSeries, kupisch_of, linear_a, parse_algebra
 from conftest import branched_ten, chain_four
@@ -118,6 +120,39 @@ def test_check_nct_modules_with_unknown_names_is_input_error(tmp_path,
     assert "Traceback" not in err
 
 
+def test_check_fractured_decomposable_member_is_input_error(tmp_path,
+                                                           capsys):
+    from arglue import fracture as fx
+    from arglue import replab
+    from arglue.core import nakayama
+    from arglue.verifier import tau_orbit_candidate
+    A = nakayama(KupischSeries([3, 3, 3, 2, 1]))
+    fr = fx.trivial_fracturing(A)
+    members = tau_orbit_candidate(A, 2).modules
+    total = replab.direct_sum(A, members[-2:])
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(A.to_json()))
+    mods = tmp_path / "modules.json"
+    mods.write_text(json.dumps(
+        [replab.rep_to_json(M) for M in members + [total]]))
+    frac = tmp_path / "fracturing.json"
+    frac.write_text(json.dumps(
+        {side: {anchor: T.intervals for anchor, T in fractures.items()}
+         for side, fractures in (("left", fr.left), ("right", fr.right))}))
+    argv = ["check", "fractured", str(alg), "--fracturing", str(frac),
+            "-n", "2", "--modules"]
+    # the members alone give a verdict (this candidate fails at n = 2)
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps([replab.rep_to_json(M) for M in members]))
+    assert run(argv + [str(ok)])[0] == 2
+    capsys.readouterr()
+    code, _ = run(argv + [str(mods)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "not indecomposable" in err
+    assert str(list(total.dim_vector())) in err and "Traceback" not in err
+
+
 def test_glue_pair(chain_file, branched_file, tmp_path):
     out = tmp_path / "glued.json"
     code, report = run(["glue", "pair", chain_file, branched_file,
@@ -200,10 +235,13 @@ def test_paper_suite_green():
 
 
 def test_console_entry_point():
+    # the package's own location, also when only the test run's sys.path
+    # holds it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "arglue.cli", "nakayama",
          "--kupisch", "2,2,1", "indec"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert "count: 5" in proc.stdout
 

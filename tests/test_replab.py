@@ -203,7 +203,8 @@ def _sparse_store_modules():
                    (cyclic, replab.uniserial_modules(cyclic)),
                    (star, arquiver.indecomposables(star))):
         for X in ind:
-            P, _, K, _ = replab.cover_data(X)
+            P, gens = replab.cover_data(X)
+            K, _ = replab._cover_kernel(X, P, gens)
             yield from (X, P.rep, K, replab.dual(X))
             for d in "+-":
                 yield replab.syzygy(X, d, 1)
