@@ -32,20 +32,36 @@ steps of Omega^-, and tau_n likewise from Omega and tau.
 
 from . import replab
 
+# the most indecomposables an enumeration reaches before it gives up
+ENUMERATION_CAP = 4096
+
 
 class EnumerationError(RuntimeError):
     pass
 
 
 class ARNode:
-    def __init__(self, node_id, rep, is_projective=False, is_injective=False):
+    def __init__(self, node_id, rep):
         self.id = node_id
         self.rep = rep
-        self.is_projective = is_projective
-        self.is_injective = is_injective
+        self.is_projective = False
+        self.is_injective = False
 
     def __repr__(self):
         return f"ARNode({self.id})"
+
+
+def _nodes(reps):
+    """One ARNode per module, with the stable id "(dims)@k", k counting
+    the earlier modules of the same dimension vector."""
+    seen = {}
+    nodes = []
+    for rep in reps:
+        dv = rep.dim_vector()
+        k = seen.get(dv, 0)
+        seen[dv] = k + 1
+        nodes.append(ARNode(f"({','.join(map(str, dv))})@{k}", rep))
+    return nodes
 
 
 class ARData:
@@ -165,7 +181,7 @@ class _Record:
         return self._tau
 
 
-def _enumerate(A, cap=4096):
+def _enumerate(A, cap=ENUMERATION_CAP):
     """Returns (reps, complete, capped, record).
 
     Every node but the P(v) is a tau-minus image that ``decompose``
@@ -264,7 +280,7 @@ def _cycle_record(A):
     return record
 
 
-def _complete_enumeration(A, cap=4096):
+def _complete_enumeration(A, cap=ENUMERATION_CAP):
     """The record of A's indecomposables, or EnumerationError when the
     orbits of the projectives do not certify a complete list within cap.
 
@@ -289,7 +305,7 @@ def _complete_enumeration(A, cap=4096):
     return replab._memo(A, "enumeration", lambda: record)
 
 
-def indecomposables(A, cap=4096):
+def indecomposables(A, cap=ENUMERATION_CAP):
     return list(_complete_enumeration(A, cap).index.reps)
 
 
@@ -330,22 +346,14 @@ def _knit(A, record):
                        for i, mult in into[j].items()))
 
 
-def ar_quiver(A, cap=4096):
+def ar_quiver(A, cap=ENUMERATION_CAP):
     """AR quiver of a representation-directed algebra, or of a Nakayama
     algebra on a cycle quiver.  Arrows are knitted from the tau-minus
     orbits of the projectives; on a cycle quiver, whose periodic orbits
     hold no projective to start from, they come with its record."""
     record = _complete_enumeration(A, cap)
     reps = record.index.reps
-    # stable ids
-    seen = {}
-    nodes = []
-    for rep in reps:
-        dv = rep.dim_vector()
-        k = seen.get(dv, 0)
-        seen[dv] = k + 1
-        dvs = ",".join(str(d) for d in dv)
-        nodes.append(ARNode(f"({dvs})@{k}", rep))
+    nodes = _nodes(reps)
     # brick sanity (knitting and the cycle formulas rely on it).  Off a
     # cycle, enumeration certifies every node but the P(v), and
     # dim End P(v) = dim P(v)_v
@@ -391,15 +399,15 @@ def verify_mesh_identity(ar):
     return failures
 
 
-def is_representation_directed(A, cap=4096):
+def is_representation_directed(A):
     """(verdict, certificate). Certificate is a topological order of the
     Hom digraph when True, else a reason/cycle."""
     try:
-        reps, complete, capped, _ = _enumerate(A, cap=cap)
+        reps, complete, capped, _ = _enumerate(A)
     except replab.DecompositionError:
         return False, {"reason": "decomposition failure during enumeration"}
     if capped:
-        return False, {"reason": f"cap {cap} exceeded (unknown)"}
+        return False, {"reason": f"cap {ENUMERATION_CAP} exceeded (unknown)"}
     if not complete:
         return False, {"reason": "some injective unreachable from projectives"}
     n = len(reps)

@@ -177,10 +177,16 @@ def _candidate(A, args, n, doc=None):
     return verifier.tau_orbit_candidate(A, n, cap=args.cap)
 
 
-def _finish_check(rep, report, args, name="verdict"):
+def _finish_check(rep, report):
     report.attach("report", json.loads(rep.to_json()))
-    report.verdict(name, rep.verdict)
+    report.verdict("verdict", rep.verdict)
     return PASS if rep.verdict else FAIL
+
+
+def _check_orbit_candidate(A, n, args, report):
+    M = verifier.tau_orbit_candidate(A, n, cap=args.cap)
+    report.verdict("candidate-size", len(M))
+    return _finish_check(verifier.check_nct(A, M, n), report)
 
 
 def _cmd_check(args, report):
@@ -198,7 +204,7 @@ def _cmd_check(args, report):
             raise CliError("check fractured needs --fracturing")
         fr = _load_fracturing(A, fdoc)
         rep = verifier.check_fractured(A, fr, M, n)
-    return _finish_check(rep, report, args)
+    return _finish_check(rep, report)
 
 
 def _pick_abutment(A, side, anchor, height=None):
@@ -270,7 +276,7 @@ def _cmd_glue(args, report):
             A=L, M=verifier.Subcategory(L, mods, dedupe=False),
             n=args.n) if complete else None
         if rep is not None:
-            return _finish_check(rep, report, args)
+            return _finish_check(rep, report)
         return PASS
     L, _vmaps, _amaps = gluing.glue_system(sysspec)
     report.attach("algebra", L.to_json())
@@ -303,7 +309,7 @@ def _cmd_selfglue(args, report):
         rep, _sg, pushed = selfglue.tilde_nct(A, wit, M.modules, n)
         report.attach("modules_tilde", _summaries(pushed))
         _write_dump(args, pushed, report)
-        return _finish_check(rep, report, args)
+        return _finish_check(rep, report)
     return PASS
 
 
@@ -336,11 +342,8 @@ def _cmd_nakayama(args, report):
         report.verdict("kupisch-tilde",
                        list(kupisch_of(sg.presentation).entries))
         return PASS
-    n = _level(args, 1, "check-nct")
-    M = verifier.tau_orbit_candidate(A, n, cap=args.cap)
-    report.verdict("candidate-size", len(M))
-    rep = verifier.check_nct(A, M, n)
-    return _finish_check(rep, report, args)
+    return _check_orbit_candidate(A, _level(args, 1, "check-nct"), args,
+                                  report)
 
 
 def _parse_arms(text):
@@ -373,10 +376,7 @@ def _cmd_starlike(args, report):
     if not verifier.starlike_rep_finite(arms):
         report.verdict("verdict", False, "not representation-finite")
         return FAIL
-    M = verifier.tau_orbit_candidate(A, n, cap=args.cap)
-    report.verdict("candidate-size", len(M))
-    rep = verifier.check_nct(A, M, n)
-    return _finish_check(rep, report, args)
+    return _check_orbit_candidate(A, n, args, report)
 
 
 def _cmd_generate(args, report):
@@ -389,7 +389,7 @@ def _cmd_generate(args, report):
     report.verdict("sinks", len(L.quiver.sinks()))
     _write_dump(args, M.modules, report)
     rep = verifier.check_nct(L, M, args.n)
-    return _finish_check(rep, report, args)
+    return _finish_check(rep, report)
 
 
 # -- golden suite ----------------------------------------------------------
@@ -509,7 +509,7 @@ def _cmd_paper_suite(args, report):
 def _common(p, n=False):
     p.add_argument("--json", help="write the command report here")
     p.add_argument("--dump", help="write module dumps here")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=arquiver.ENUMERATION_CAP)
     if n:
         p.add_argument("-n", type=int, default=0)
 

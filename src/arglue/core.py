@@ -7,8 +7,6 @@ with an explicit base vertex where needed.
 
 import json
 
-DEFAULT_PATH_CAP = 64
-
 
 class AlgebraError(ValueError):
     pass
@@ -61,11 +59,12 @@ def _contains_contiguous(path, sub):
 class BoundQuiverPresentation:
     """A finite quiver together with a reduced monomial relation set.
 
-    Admissibility (finite dimensionality) is verified on construction by
-    growing all relation-free paths breadth-first up to a length cap.
+    Admissibility (finite dimensionality) is verified on construction:
+    NonAdmissibleError exactly when the relation-free paths never run out
+    (see ``_grow_basis``).
     """
 
-    def __init__(self, quiver, relations, path_cap=DEFAULT_PATH_CAP):
+    def __init__(self, quiver, relations):
         self.quiver = quiver
         rels = []
         for r in relations:
@@ -90,7 +89,6 @@ class BoundQuiverPresentation:
         self._heads_by_last = {}
         for r in sorted(reduced):
             self._heads_by_last.setdefault(r[-1], []).append(r[:-1])
-        self.path_cap = path_cap
         self._grow_basis()
 
     # -- path helpers ---------------------------------------------------
@@ -108,15 +106,22 @@ class BoundQuiverPresentation:
         return True
 
     def _grow_basis(self):
+        """All relation-free paths, breadth-first by length.
+
+        With k one less than the longest relation (0 without relations),
+        whether a relation-free path extends by an arrow depends only on
+        its last k arrows.  So there are finitely many relation-free paths
+        exactly when stepping each one of length k to the last k arrows of
+        its one-arrow extensions never closes a cycle (``_check_windows``,
+        run when the search reaches length k)."""
+        k = max(map(len, self.relations), default=1) - 1
         paths = {v: [()] for v in self.quiver.vertices}  # by source vertex
         frontier = [(v, ()) for v in self.quiver.vertices]
         length = 0
         while frontier:
+            if length == k:
+                self._check_windows(frontier)
             length += 1
-            if length > self.path_cap:
-                raise NonAdmissibleError(
-                    "non-admissible ideal: relation-free path exceeds cap "
-                    f"{self.path_cap} (a cycle survives all relations)")
             nxt = []
             for v, p in frontier:
                 end = self.path_target(p, v)
@@ -127,6 +132,28 @@ class BoundQuiverPresentation:
                         nxt.append((v, q))
             frontier = nxt
         self._paths_by_source = paths
+
+    def _check_windows(self, frontier):
+        """NonAdmissibleError when the relation-free paths of length k,
+        given as (source, path), step into a cycle."""
+        step, indegree = {}, {}   # (end vertex, path) -> windows
+        for v, p in frontier:
+            end = self.path_target(p, v)
+            step[(end, p)] = [(self.quiver.tgt[a], (p + (a,))[1:])
+                              for a in self.quiver.out[end]
+                              if self._extension_survives(p, a)]
+            for w in step[(end, p)]:
+                indegree[w] = indegree.get(w, 0) + 1
+        ready = [w for w in step if w not in indegree]
+        while ready:
+            for w in step.pop(ready.pop()):
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+        if step:
+            raise NonAdmissibleError(
+                "non-admissible ideal: relation-free paths of every length "
+                "exist (a cycle survives all relations)")
 
     # -- data access ----------------------------------------------------
     def all_paths(self):

@@ -211,26 +211,19 @@ def verify_tilting_by_ext(T):
     return True
 
 
-def foundation(A, ab, ardata=None):
-    """The h(h+1)/2 interval modules of the abutment's triangle.
-
-    Returns a dict (a, b) -> Representation; when AR data is supplied the
-    values are the matching node ids instead.
-    """
-    h = ab.height
-    mods = {(a, b): interval_module(A, ab.tail, a, b)
-            for a in range(1, h + 1) for b in range(a, h + 1)}
-    if ardata is None:
-        return mods
+def foundation(A, ab, ardata):
+    """The h(h+1)/2 interval modules of the abutment's triangle, as a dict
+    (a, b) -> id of the matching node of the AR data."""
     index = arquiver._IsoIndex([node.rep for node in ardata.nodes],
                                dedupe=False)
     out = {}
-    for (a, b), M in mods.items():
-        i = index.find(M)
-        if i is None:
-            raise AlgebraError(
-                f"foundation module ({a},{b}) missing from AR data")
-        out[(a, b)] = ardata.nodes[i].id
+    for a in range(1, ab.height + 1):
+        for b in range(a, ab.height + 1):
+            i = index.find(interval_module(A, ab.tail, a, b))
+            if i is None:
+                raise AlgebraError(
+                    f"foundation module ({a},{b}) missing from AR data")
+            out[(a, b)] = ardata.nodes[i].id
     return out
 
 
@@ -262,16 +255,10 @@ class Fracturing:
 
 def trivial_fracturing(A):
     """(Lambda, D(Lambda)): projective left fractures, injective right ones."""
-    left = {}
-    for ab in abutments(A, "left"):
-        if ab.maximal:
-            h = ab.height
-            left[ab.anchor] = IntervalSet(h, [(a, h) for a in range(1, h + 1)])
-    right = {}
-    for ab in abutments(A, "right"):
-        if ab.maximal:
-            h = ab.height
-            right[ab.anchor] = IntervalSet(h, [(1, b) for b in range(1, h + 1)])
+    left = {ab.anchor: projective_intervals(ab.height)
+            for ab in abutments(A, "left") if ab.maximal}
+    right = {ab.anchor: injective_intervals(ab.height)
+             for ab in abutments(A, "right") if ab.maximal}
     return Fracturing(A, left, right)
 
 

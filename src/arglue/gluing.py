@@ -109,14 +109,18 @@ def glue(spec):
     return glued
 
 
+def _zero_extension(M, L, vmap, amap):
+    """M as a module of L, through the vertex and arrow renamings."""
+    dims = {vmap[v]: d for v, d in M.dim.items()}
+    mats = {amap[a]: m for a, m in M.mats.items()}
+    return replab.Representation(L, dims, mats, check=False)
+
+
 def push_forward(M, glued, side):
     """Zero-extension of a module along the gluing (side 'A' or 'B')."""
     vmap = glued.vertex_map_A if side == "A" else glued.vertex_map_B
     amap = glued.arrow_map_A if side == "A" else glued.arrow_map_B
-    L = glued.presentation
-    dims = {vmap[v]: d for v, d in M.dim.items()}
-    mats = {amap[a]: m for a, m in M.mats.items()}
-    return replab.Representation(L, dims, mats, check=False)
+    return _zero_extension(M, glued.presentation, vmap, amap)
 
 
 # -- AR amalgamation ----------------------------------------------------
@@ -143,14 +147,7 @@ def glue_ar(arA, arB, glued):
     expected = arA.node_count() + arB.node_count() - len(fA)
     if len(reps) != expected:
         raise AlgebraError("foundation identification lost nodes")
-    seen = {}
-    nodes = []
-    for rep in reps:
-        dv = rep.dim_vector()
-        k = seen.get(dv, 0)
-        seen[dv] = k + 1
-        dvs = ",".join(str(d) for d in dv)
-        nodes.append(arquiver.ARNode(f"({dvs})@{k}", rep))
+    nodes = arquiver._nodes(reps)
     arrows = {}
     for src_ar, tag in ((arB, "B"), (arA, "A")):
         for (x, y), mult in src_ar.arrows.items():
@@ -388,9 +385,7 @@ def glue_system(sys, check_orders=True):
 
 def push_forward_system(M, tv, L, vmaps, amaps):
     """Zero-extension of a module at tree vertex tv into the glued algebra."""
-    dims = {vmaps[tv][v]: d for v, d in M.dim.items()}
-    mats = {amaps[tv][a]: m for a, m in M.mats.items()}
-    return replab.Representation(L, dims, mats, check=False)
+    return _zero_extension(M, L, vmaps[tv], amaps[tv])
 
 
 def glue_fractured_system(sys, n):

@@ -28,6 +28,10 @@ class ResolutionCapError(RuntimeError):
     pass
 
 
+# the deepest projective resolution built, in levels past the cover
+RESOLUTION_CAP = 32
+
+
 def op_algebra(A):
     """Opposite presentation, cached and involutive on instances."""
     cached = getattr(A, "_op_cache", None)
@@ -569,11 +573,11 @@ class Resolution:
             self._kernel = _cover_kernel(*self._deepest)
         return self._kernel
 
-    def extend_to(self, depth, cap=32):
+    def extend_to(self, depth):
         while len(self.levels) <= depth and not self.finished:
-            if len(self.levels) > cap:
+            if len(self.levels) > RESOLUTION_CAP:
                 raise ResolutionCapError(
-                    f"projective resolution exceeds cap {cap}")
+                    f"projective resolution exceeds cap {RESOLUTION_CAP}")
             K, E = self.kernel(len(self.levels) - 1)
             if K.is_zero():
                 self.finished = True
@@ -601,12 +605,12 @@ def resolution_of(M):
     return M._resolution
 
 
-def resolution_tops(M, i, cap=32):
+def resolution_tops(M, i):
     """Top vertices of P_i, the i-th term of the minimal projective
     resolution of M ([] past its end and for M = 0).  Hom(P_i, N), and
     so Ext^i(M, N), vanishes unless N is non-zero at one of them."""
     res = resolution_of(M)
-    res.extend_to(i + 1, cap=cap)
+    res.extend_to(i + 1)
     return res.blocks(i)
 
 
@@ -666,7 +670,7 @@ def hom_dim(M, N):
     return cols - linalg.rank(_differential(resolution_of(M), 1, N))
 
 
-def ext_dim(M, N, i, cap=32):
+def ext_dim(M, N, i):
     """dim Ext^i(M, N) from the minimal projective resolution of M."""
     if i < 0:
         raise ValueError("i must be >= 0")
@@ -674,7 +678,7 @@ def ext_dim(M, N, i, cap=32):
         return hom_dim(M, N)
     if M.is_zero() or N.is_zero():
         return 0
-    dim_i = _hom_space_dim(resolution_tops(M, i, cap), N)
+    dim_i = _hom_space_dim(resolution_tops(M, i), N)
     if dim_i == 0:  # Ext^i is a subquotient of Hom(P_i, N)
         return 0
     res = resolution_of(M)

@@ -12,6 +12,10 @@ from . import fracture as fx
 from .core import AlgebraError, BoundQuiverPresentation, Quiver, kupisch_of
 from .gluing import GluingSystemSpec, glue_system, identify_seams
 
+# the cover windows tried, 2k+1 copies for k = FIRST_WINDOW..LAST_WINDOW,
+# and the enumeration cap of each
+FIRST_WINDOW, LAST_WINDOW, WINDOW_CAP = 2, 6, 8192
+
 
 class SelfGlueWitness:
     """A fractured pair (W, J) with a compatible sub-pair (P, I)."""
@@ -252,7 +256,7 @@ def _push_down_window(M, win, sg):
     return _assemble(L, pieces_v, pieces_a)
 
 
-def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
+def orbit_indecomposables(A, witness, sg=None):
     """Indecomposables of the fold, enumerated through cover windows.
 
     Window modules clear of the boundary copies push down to modules of
@@ -268,9 +272,9 @@ def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
     except AlgebraError:
         pass
     previous = None
-    for k in range(k_min, k_max + 1):
+    for k in range(FIRST_WINDOW, LAST_WINDOW + 1):
         win = cover_window(A, witness, k)
-        reps = arquiver.indecomposables(win.presentation, cap=cap)
+        reps = arquiver.indecomposables(win.presentation, cap=WINDOW_CAP)
         index = arquiver._IsoIndex(
             _push_down_window(M, win, sg) for M in reps
             if all(-k < c < k for c in _window_copies(M, win)))
@@ -280,10 +284,10 @@ def orbit_indecomposables(A, witness, k_min=2, k_max=6, cap=8192, sg=None):
             return found
         previous = index
     raise arquiver.EnumerationError(
-        f"window growth did not stabilize by k={k_max}")
+        f"window growth did not stabilize by k={LAST_WINDOW}")
 
 
-def tilde_nct(A, witness, modules, n, indecs=None):
+def tilde_nct(A, witness, modules, n):
     """Push a candidate subcategory down the fold and test it there.
 
     Returns (report, folded algebra data, pushed module list).
@@ -291,8 +295,7 @@ def tilde_nct(A, witness, modules, n, indecs=None):
     sg = tilde(A, witness)
     sub = verifier.Subcategory(sg.presentation,
                                (push_down(M, sg) for M in modules))
-    if indecs is None:
-        indecs = orbit_indecomposables(A, witness, sg=sg)
+    indecs = orbit_indecomposables(A, witness, sg=sg)
     report = verifier.check_nct(sg.presentation, sub, n, indecs=indecs)
     return report, sg, sub.modules
 

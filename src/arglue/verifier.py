@@ -46,6 +46,12 @@ class VerificationReport:
         dv = list(rep.dim_vector()) if rep is not None else None
         self.counterexamples.append((condition, description, dv))
 
+    def fail(self, condition, description, rep):
+        """Record the condition as failing at its witness rep; the report."""
+        self.witness(condition, description, rep)
+        self.record(condition, False)
+        return self
+
     def to_json(self):
         return json.dumps({
             "kind": self.kind,
@@ -64,35 +70,29 @@ class VerificationReport:
         return f"VerificationReport({self.kind}, n={self.n}, {state})"
 
 
-def tau_orbit_candidate(A, n, cap=4096):
+def tau_orbit_candidate(A, n, cap=arquiver.ENUMERATION_CAP):
     """Closure of the projectives under the inverse n-fold translate, the
     canonical candidate subcategory.
 
     The members are nodes of A's complete enumeration (EnumerationError
     when there is none within cap), found by walking the record's tables
-    breadth-first from the sorted P(v).  When one member's translate holds
-    two or more new classes, they are taken in the order in which
-    ``decompose`` returns that translate's summands."""
+    breadth-first from the sorted P(v); the new classes of one member's
+    translate are taken in the order the tables give them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Subcategory(A, arquiver.indecomposables(A, cap=cap),
                            dedupe=False)
     record = arquiver._complete_enumeration(A, cap)
-    nodes = record.index.reps
     out = [record.projective[v] for v in sorted(A.quiver.vertices)]
     members = set(out)
     # the queue is the member list itself, each member translated once
     for i in out:
         new = [j for j in dict.fromkeys(record.tau_n([i], n, "-"))
                if j not in members]
-        if len(new) > 1:
-            parts = replab.decompose(replab.tau_n(nodes[i], n, "-"))
-            new = [j for j in dict.fromkeys(map(record.locate, parts))
-                   if j in new]
         out.extend(new)
         members.update(new)
-    return Subcategory(A, [nodes[i] for i in out], dedupe=False)
+    return Subcategory(A, [record.index.reps[i] for i in out], dedupe=False)
 
 
 def _pairs_into(X, n, members_at, first):
@@ -117,8 +117,10 @@ def _pairs_into(X, n, members_at, first):
     yield from sorted(later)
 
 
-def check_nct(A, M, n, indecs=None, report_all=False):
+def check_nct(A, M, n, indecs=None):
     """Direct Ext-orthogonality check that add(M) is n-cluster tilting.
+    The conditions after a failing one are not checked, and rigidity and
+    maximality name only their first witness.
 
     Ext^i(X, Y) is a subquotient of Hom(P_i, Y), where P_i is the i-th
     term of the minimal projective resolution of X, so it vanishes unless
@@ -153,7 +155,7 @@ def check_nct(A, M, n, indecs=None, report_all=False):
                                f"{kind} at vertex {v} not in M", mod)
     report.record("proj-inj-membership", not missing,
                   f"{len(missing)} missing" if missing else "all present")
-    if missing and not report_all:
+    if missing:
         return report
     members = M.modules
     members_at = {}  # vertex -> indices of the members non-zero there
@@ -162,21 +164,16 @@ def check_nct(A, M, n, indecs=None, report_all=False):
             members_at.setdefault(v, []).append(k)
     first = next((k for k, Y in enumerate(members) if not Y.is_zero()), None)
     # rigidity: Ext^{1..n-1}(M, M) = 0
-    rigid = True
     for X in members:
         hit = next(((k, i) for k, i in _pairs_into(X, n, members_at, first)
                     if replab.ext_dim(X, members[k], i)), None)
         if hit is not None:
-            rigid = False
             k, i = hit
-            report.witness(
+            return report.fail(
                 "rigidity",
                 f"Ext^{i} nonzero between members "
                 f"{X.dim_vector()} -> {members[k].dim_vector()}", X)
-            break
-    report.record("rigidity", rigid)
-    if not rigid and not report_all:
-        return report
+    report.record("rigidity", True)
     # maximality: every excluded indecomposable has nonzero Ext into M
     # and nonzero Ext from M, in some degree 0 < i < n
     tops_at = {}  # vertex -> (k, i) with the vertex a top of P_i(members[k])
@@ -209,40 +206,32 @@ def check_nct(A, M, n, indecs=None, report_all=False):
             report.witness("maximality",
                            f"excluded module violates {' and '.join(side)}",
                            X)
-            if not report_all:
-                break
+            break
     report.record("maximality", maximal)
     report.record("functorial-finiteness", True,
                   "automatic for representation-finite algebras")
     return report
 
 
-def _left_class(A, fr):
-    """Representatives of the projective-side comparison class: all
-    non-abutment projectives plus the left fracture interval modules."""
-    anchors = {ab.anchor for ab in fx.abutments(A, "left")}
-    mods = [replab.projective(A, v)
-            for v in sorted(A.quiver.vertices) if v not in anchors]
-    for anchor, T in sorted(fr.left.items()):
-        W = fr.max_left[anchor]
-        for a, b in T.intervals:
-            mods.append(fx.interval_module(A, W.tail, a, b))
+def _side_class(A, fr, side):
+    """Representatives of one side's comparison class: the projectives
+    (left side) or injectives (right side) at the vertices that anchor no
+    abutment of that side, plus the interval modules of its fractures."""
+    anchors = {ab.anchor for ab in fx.abutments(A, side)}
+    end = replab.projective if side == "left" else replab.injective
+    mods = [end(A, v) for v in sorted(A.quiver.vertices) if v not in anchors]
+    fractures, maxima = ((fr.left, fr.max_left) if side == "left"
+                         else (fr.right, fr.max_right))
+    for anchor, T in sorted(fractures.items()):
+        tail = maxima[anchor].tail
+        mods += [fx.interval_module(A, tail, a, b) for a, b in T.intervals]
     return Subcategory(A, mods)
 
 
-def _right_class(A, fr):
-    anchors = {ab.anchor for ab in fx.abutments(A, "right")}
-    mods = [replab.injective(A, v)
-            for v in sorted(A.quiver.vertices) if v not in anchors]
-    for anchor, T in sorted(fr.right.items()):
-        J = fr.max_right[anchor]
-        for a, b in T.intervals:
-            mods.append(fx.interval_module(A, J.tail, a, b))
-    return Subcategory(A, mods)
-
-
-def check_fractured(A, fr, M, n, report_all=False):
-    """Translate/syzygy criterion for a fractured subcategory.
+def check_fractured(A, fr, M, n):
+    """Translate/syzygy criterion for a fractured subcategory.  The
+    conditions after a failing one are not checked, and only (a1) names
+    more than its first witness.
 
     The translates and (co)syzygies of the members are read from the
     tables of A's complete enumeration (EnumerationError when there is
@@ -254,70 +243,49 @@ def check_fractured(A, fr, M, n, report_all=False):
     steps = _NodeSteps(arquiver._complete_enumeration(A), n)
     handles = steps.handles(M.modules)
     report = VerificationReport("fractured", n)
-    PL = _left_class(A, fr)
-    IR = _right_class(A, fr)
+    PL = _side_class(A, fr, "left")
+    IR = _side_class(A, fr, "right")
     # (a1) the projective-side class is contained in M
     missing = [X for X in PL.modules if not M.contains(X)]
     for X in missing:
         report.witness("a1", "projective-side class member not in M", X)
     report.record("a1", not missing,
                   f"{len(missing)} missing" if missing else "")
-    if missing and not report_all:
+    if missing:
         return report
     SP = [(X, x) for X, x in zip(M.modules, handles) if not PL.contains(X)]
     SI = [(X, x) for X, x in zip(M.modules, handles) if not IR.contains(X)]
     # (a2) the translates give mutually inverse bijections SP <-> SI
     in_si = steps.finder([y for _, y in SI])
     in_sp = steps.finder([x for _, x in SP])
-    a2 = True
     hit = set()
     for X, x in SP:
         t = steps.translate(x, "+")
         if t is None:
-            a2 = False
-            report.witness("a2", "forward translate zero or decomposable", X)
-            if not report_all:
-                break
-            continue
+            return report.fail("a2", "forward translate zero or "
+                               "decomposable", X)
         j = in_si(t)
         if j is None or not steps.inverts(t, x, "-"):
-            a2 = False
-            report.witness("a2", "forward translate leaves the target class "
-                           "or is not inverted", X)
-            if not report_all:
-                break
-            continue
+            return report.fail("a2", "forward translate leaves the target "
+                               "class or is not inverted", X)
         hit.add(j)
-    if a2:
-        for j, (Y, y) in enumerate(SI):
-            if j in hit:
-                continue
-            t = steps.translate(y, "-")
-            if t is None or in_sp(t) is None or not steps.inverts(t, y, "+"):
-                a2 = False
-                report.witness("a2", "backward translate fails", Y)
-                if not report_all:
-                    break
-    report.record("a2", a2)
-    if not a2 and not report_all:
-        return report
+    for j, (Y, y) in enumerate(SI):
+        if j in hit:
+            continue
+        t = steps.translate(y, "-")
+        if t is None or in_sp(t) is None or not steps.inverts(t, y, "+"):
+            return report.fail("a2", "backward translate fails", Y)
+    report.record("a2", True)
     # (a3)/(a4) intermediate (co)syzygies stay indecomposable
     for name, direction, word, members in (
             ("a3", "+", "syzygy", SP), ("a4", "-", "cosyzygy", SI)):
-        ok = True
         for X, x in members:
             for i in range(1, n):
                 x = steps.syzygy(x, direction)
                 if x is None:
-                    ok = False
-                    report.witness(name, f"{word} {i} zero or decomposable",
-                                   X)
-                    break
-            if not ok and not report_all:
-                break
-        report.record(name, ok)
-        if name == "a3" and not ok and not report_all:
-            return report
+                    return report.fail(
+                        name, f"{word} {i} zero or decomposable", X)
+        report.record(name, True)
     return report
 
 

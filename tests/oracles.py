@@ -126,7 +126,7 @@ class ModuleSteps:
         return S if _is_indecomposable(S) else None
 
 
-def eager_levels(M, depth, cap=32):
+def eager_levels(M, depth):
     """``Resolution.levels`` of M up to ``depth``, built with the kernel of
     every cover taken together with the cover."""
     levels = []
@@ -136,9 +136,10 @@ def eager_levels(M, depth, cap=32):
     K, E = replab._cover_kernel(M, P, gens)
     levels.append(([v for v, _ in gens], None))
     while len(levels) <= depth:
-        if len(levels) > cap:
+        if len(levels) > replab.RESOLUTION_CAP:
             raise replab.ResolutionCapError(
-                f"projective resolution exceeds cap {cap}")
+                "projective resolution exceeds cap "
+                f"{replab.RESOLUTION_CAP}")
         if K.is_zero():
             break
         Pprev = P

@@ -297,3 +297,19 @@ def test_internal_errors_are_not_input_errors(monkeypatch, chain_file):
     monkeypatch.setattr(arquiver, "ar_quiver", broken)
     with pytest.raises(KeyError, match="internal"):
         run(["algebra", "ar", chain_file])
+
+
+def test_two_loops_without_relations_are_an_input_error(tmp_path, capsys):
+    f = tmp_path / "loops.json"
+    f.write_text(json.dumps({
+        "vertices": ["0"],
+        "arrows": [{"id": "x", "from": "0", "to": "0"},
+                   {"id": "y", "from": "0", "to": "0"}]}))
+    assert run(["algebra", "validate", str(f)])[0] == 3
+    assert "non-admissible" in capsys.readouterr().err
+
+
+def test_long_linear_chain_is_valid(tmp_path):
+    f = tmp_path / "a65.json"
+    f.write_text(json.dumps(linear_a(65).to_json()))
+    assert run(["algebra", "validate", str(f)])[0] == 0

@@ -1,7 +1,8 @@
 """Randomized command-line inputs: a document with one part replaced by
 arbitrary JSON is either still well formed, and gets a verdict, or is an
-input error (exit 3) with a message and no traceback; valid Nakayama and
-starlike ``check-nct`` runs always end in a verdict."""
+input error (exit 3) with a message and no traceback; an algebra whose
+arrows close a cycle is valid or non-admissible (exit 3); valid Nakayama
+and starlike ``check-nct`` runs always end in a verdict."""
 
 import contextlib
 import io
@@ -101,6 +102,39 @@ _ALGEBRAS = [chain_four().to_json(), {"kupisch": [3, 3, 2, 1]},
 def test_malformed_algebra_documents_are_input_errors(doc):
     code, err = _run(["algebra", "validate", "alg"], {"alg": doc})
     _assert_outcome(code, err, _well_formed(cli._parse_algebra, doc))
+
+
+@st.composite
+def _cyclic_algebras(draw):
+    """1-3 vertices closed into a cycle (a loop on one vertex), up to three
+    more arrows, and up to four random monomial relations of length 2 or
+    3."""
+    k = draw(st.integers(1, 3))
+    vertices = [str(v) for v in range(k)]
+    arrows = [(f"c{v}", vertices[v], vertices[(v + 1) % k])
+              for v in range(k)]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows += [(f"e{j}", s, t) for j, (s, t)
+               in enumerate(draw(st.lists(ends, max_size=3)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        path = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(1, 2))):
+            path.append(draw(st.sampled_from(
+                [a for a in arrows if a[1] == path[-1][2]])))
+        relations.append([a for a, _, _ in path])
+    return {"vertices": vertices,
+            "arrows": [{"id": a, "from": s, "to": t} for a, s, t in arrows],
+            "relations": relations}
+
+
+@FUZZ
+@given(_cyclic_algebras())
+def test_cyclic_algebras_are_valid_or_non_admissible(doc):
+    code, err = _run(["algebra", "validate", "alg"], {"alg": doc})
+    assert "Traceback" not in err
+    assert code == cli.PASS or (code == cli.INPUT_ERROR
+                                and "non-admissible" in err), err
 
 
 _CHAIN = chain_four()

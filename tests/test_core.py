@@ -4,9 +4,9 @@ import random
 import pytest
 
 from arglue.core import (AlgebraError, BoundQuiverPresentation, KupischSeries,
-                         Quiver, kupisch_of, linear_a, nakayama, opposite,
-                         parse_algebra, path_basis, rename_presentation,
-                         starlike)
+                         NonAdmissibleError, Quiver, kupisch_of, linear_a,
+                         nakayama, opposite, parse_algebra, path_basis,
+                         rename_presentation, starlike)
 from conftest import branched_ten, chain_four, rad2_chain
 
 
@@ -171,3 +171,30 @@ def test_relation_lookups_match_the_scans():
             for a in q.out[t]:
                 assert A._extension_survives(p, a) == A.is_relation_free(
                     p + (a,))
+
+
+def _two_loops(relations):
+    q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
+    return BoundQuiverPresentation(q, relations)
+
+
+def test_long_relation_free_paths_are_admissible():
+    # finite algebras whose relation-free paths run past 64 arrows
+    assert linear_a(65).dimension() == 65 * 66 // 2
+    assert linear_a(120).dimension() == 120 * 121 // 2
+    assert nakayama(KupischSeries(list(range(90, 0, -1)))).dimension() \
+        == 90 * 91 // 2
+    assert nakayama(KupischSeries([70, 70], cyclic=True)).dimension() == 140
+
+
+@pytest.mark.parametrize("relations", [
+    [], [("x", "x"), ("y", "y")], [("x", "y")]])
+def test_cycles_that_survive_the_relations_are_rejected(relations):
+    with pytest.raises(NonAdmissibleError, match="cycle survives"):
+        _two_loops(relations)
+
+
+def test_finite_two_loop_algebra_is_admissible():
+    A = _two_loops([("x", "x"), ("y", "y"), ("x", "y", "x")])
+    # e, x, y, xy, yx, yxy
+    assert A.dimension() == 6

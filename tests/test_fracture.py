@@ -65,7 +65,7 @@ def test_abutment_leq(A):
 def test_foundation(A, B):
     ar = arquiver.ar_quiver(A)
     assert len(fx.foundation(A, left_ab(A, "2"), ar)) == 3
-    assert len(fx.foundation(B, left_ab(B, "5"))) == 6
+    assert len(fx.foundation(B, left_ab(B, "5"), arquiver.ar_quiver(B))) == 6
 
 
 def test_tilting_enumeration_catalan():

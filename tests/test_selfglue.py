@@ -99,8 +99,7 @@ def test_fold_tilde_subcategory(fold):
     A, ind = fold
     wit, _ = self_glue_witness(A, fold_fracturing(A))
     M15 = fold_modules(A, ind)
-    orb = orbit_indecomposables(A, wit)
-    rep, sg, pushed = tilde_nct(A, wit, M15.modules, 2, indecs=orb)
+    rep, sg, pushed = tilde_nct(A, wit, M15.modules, 2)
     assert len(pushed) == 12
     assert rep.verdict, rep.to_json()
 

@@ -129,7 +129,7 @@ def test_check_nct_with_precomputed_indecs(A):
     assert check_nct(A, cand, 2, indecs=ind).verdict
 
 
-def _pairwise_check_nct(A, M, n, indecs, report_all):
+def _pairwise_check_nct(A, M, n, indecs):
     """The Ext sweep over every (member, member, degree) and (excluded,
     member, degree) triple, as check_nct ran it before it skipped the
     pairs whose Ext vanishes by the resolution tops."""
@@ -144,7 +144,7 @@ def _pairwise_check_nct(A, M, n, indecs, report_all):
                                f"{kind} at vertex {v} not in M", mod)
     report.record("proj-inj-membership", not missing,
                   f"{len(missing)} missing" if missing else "all present")
-    if missing and not report_all:
+    if missing:
         return report
     rigid = True
     for X in M.modules:
@@ -162,7 +162,7 @@ def _pairwise_check_nct(A, M, n, indecs, report_all):
         if not rigid:
             break
     report.record("rigidity", rigid)
-    if not rigid and not report_all:
+    if not rigid:
         return report
     maximal = True
     for X in indecs:
@@ -180,8 +180,7 @@ def _pairwise_check_nct(A, M, n, indecs, report_all):
             report.witness("maximality",
                            f"excluded module violates {' and '.join(side)}",
                            X)
-            if not report_all:
-                break
+            break
     report.record("maximality", maximal)
     report.record("functorial-finiteness", True,
                   "automatic for representation-finite algebras")
@@ -217,9 +216,8 @@ def test_check_nct_matches_pairwise_ext_sweep():
     verdicts = []
     for A, M, n in _ext_sweep_cases():
         ind = arquiver.indecomposables(A)
-        for report_all in (False, True):
-            got = check_nct(A, M, n, indecs=ind, report_all=report_all)
-            want = _pairwise_check_nct(A, M, n, ind, report_all)
-            assert got.to_json() == want.to_json(), (n, report_all)
+        got = check_nct(A, M, n, indecs=ind)
+        want = _pairwise_check_nct(A, M, n, ind)
+        assert got.to_json() == want.to_json(), n
         verdicts.append(got.verdict)
     assert verdicts == [True] * 10 + [False] * 6
