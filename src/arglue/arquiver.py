@@ -81,11 +81,11 @@ class _IsoIndex:
     bucketed by dimension vector, each bucket searched with
     ``replab.is_isomorphic`` in insertion order.
 
-    ``dedupe`` keeps the first module of each isomorphism class of
-    ``reps`` and skips zero modules; without it ``reps`` is taken as
-    already pairwise non-isomorphic and stored as given.  ``find`` is
-    certain when rep or the stored module is indecomposable: only when
-    neither is can ``is_isomorphic``'s random fallback decide the answer.
+    Every stored module, or else every module looked up, must be
+    indecomposable, as ``is_isomorphic`` requires.  ``dedupe`` keeps the
+    first module of each isomorphism class of ``reps`` and skips zero
+    modules; without it ``reps`` is taken as already pairwise
+    non-isomorphic and stored as given.
     """
 
     def __init__(self, reps=(), dedupe=True):
@@ -182,16 +182,30 @@ class _Record:
 
 
 def _enumerate(A, cap=ENUMERATION_CAP):
-    """Returns (reps, complete, capped, record).
+    """The record of A's indecomposables from the tau-minus orbits of the
+    projectives; EnumerationError when the walk passes cap nodes, finds a
+    node of dimension above 6 at a vertex, or misses an injective.
 
     Every node but the P(v) is a tau-minus image that ``decompose``
-    returned unsplit, so its endomorphism ring is 1-dimensional.
+    returned unsplit, so its endomorphism ring is 1-dimensional.  Over a
+    representation-directed algebra each indecomposable is a sincere
+    directing module of its support algebra, so its dimension vector is
+    a positive root of a weakly positive unit form, whose coordinates
+    are at most 6 by Ovsienko's theorem (Ringel, LNM 1099, 2.4): a
+    larger node ends walks into infinite components, e.g. the Kronecker
+    algebra's, long before cap.
     """
     index = _IsoIndex()
     record = _Record(index)
     order = index.reps
 
     def add(rep):
+        for v, d in rep.dim.items():
+            if d > 6:
+                raise EnumerationError(
+                    f"node {len(order)} {list(rep.dim_vector())} has "
+                    f"dimension {d} at vertex {v}, above the bound 6 for "
+                    "representation-directed algebras")
         record.tau_minus.append(None)
         return index.add(rep)
 
@@ -199,7 +213,6 @@ def _enumerate(A, cap=ENUMERATION_CAP):
         P = replab.projective(A, v)
         i = index.find(P)
         record.projective[v] = add(P) if i is None else i
-    capped = False
     # the queue is the node list itself: every node is translated once,
     # in the order it was found
     i = 0
@@ -214,15 +227,18 @@ def _enumerate(A, cap=ENUMERATION_CAP):
             j = index.find(parts[0])
             if j is None:
                 if len(order) >= cap:
-                    capped = True
-                    break
+                    raise EnumerationError(
+                        f"more than {cap} indecomposables reached; algebra "
+                        "is not representation-finite or not directed")
                 j = add(parts[0])
             record.tau_minus[i] = j
         i += 1
-    complete = not capped and all(
-        index.find(replab.injective(A, v)) is not None
-        for v in A.quiver.vertices)
-    return order, complete, capped, record
+    if any(index.find(replab.injective(A, v)) is None
+           for v in A.quiver.vertices):
+        raise EnumerationError(
+            "tau-minus orbits of projectives missed an injective; "
+            "enumeration is not complete for this algebra")
+    return record
 
 
 def _is_cycle(q):
@@ -281,8 +297,8 @@ def _cycle_record(A):
 
 
 def _complete_enumeration(A, cap=ENUMERATION_CAP):
-    """The record of A's indecomposables, or EnumerationError when the
-    orbits of the projectives do not certify a complete list within cap.
+    """The record of A's indecomposables, or ``_enumerate``'s
+    EnumerationError.
 
     On a cycle quiver the orbits of the projectives miss the periodic
     ones, so the record is built in closed form there (``cap`` does not
@@ -291,17 +307,8 @@ def _complete_enumeration(A, cap=ENUMERATION_CAP):
     if _is_cycle(A.quiver):
         return replab._memo(A, "enumeration", lambda: _cycle_record(A))
     record = replab._memo_get(A, "enumeration")
-    if record is not None and len(record.tau_minus) <= cap:
-        return record
-    _reps, complete, capped, record = _enumerate(A, cap=cap)
-    if capped:
-        raise EnumerationError(
-            f"more than {cap} indecomposables reached; "
-            "algebra is not representation-finite or not directed")
-    if not complete:
-        raise EnumerationError(
-            "tau-minus orbits of projectives missed an injective; "
-            "enumeration is not complete for this algebra")
+    if record is None or len(record.tau_minus) > cap:
+        record = _enumerate(A, cap=cap)
     return replab._memo(A, "enumeration", lambda: record)
 
 
@@ -400,16 +407,13 @@ def verify_mesh_identity(ar):
 
 
 def is_representation_directed(A):
-    """(verdict, certificate). Certificate is a topological order of the
-    Hom digraph when True, else a reason/cycle."""
+    """(verdict, certificate) from A's record: a topological order of the
+    Hom digraph when True, else the reason, an EnumerationError or
+    DecompositionError message or a Hom cycle with its members."""
     try:
-        reps, complete, capped, _ = _enumerate(A)
-    except replab.DecompositionError:
-        return False, {"reason": "decomposition failure during enumeration"}
-    if capped:
-        return False, {"reason": f"cap {ENUMERATION_CAP} exceeded (unknown)"}
-    if not complete:
-        return False, {"reason": "some injective unreachable from projectives"}
+        reps = _complete_enumeration(A).index.reps
+    except (EnumerationError, replab.DecompositionError) as e:
+        return False, {"reason": str(e)}
     n = len(reps)
     at = {}  # vertex -> indices of the modules non-zero there
     for j, rep in enumerate(reps):

@@ -61,8 +61,16 @@ def _load_algebra(path):
 
 
 def _load_modules(A, doc):
+    """The modules of a module list; CliError for a non-zero one that is
+    isomorphic to no node of A's complete enumeration."""
     with _malformed("module list"):
-        return [replab.rep_from_json(A, d) for d in doc]
+        modules = [replab.rep_from_json(A, d) for d in doc]
+    index = arquiver._complete_enumeration(A).index
+    for k, M in enumerate(modules):
+        if not M.is_zero() and index.find(M) is None:
+            raise CliError(f"module {k} with dimension vector "
+                           f"{list(M.dim_vector())} is not indecomposable")
+    return modules
 
 
 def _load_fracturing(A, doc):
@@ -606,7 +614,8 @@ def run(argv):
     except (CliError, AlgebraError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR, report
-    except (arquiver.EnumerationError, replab.DecompositionError) as e:
+    except (arquiver.EnumerationError, replab.DecompositionError,
+            replab.ResolutionCapError) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return FAIL, report
     return code, report

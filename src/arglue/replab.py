@@ -391,37 +391,22 @@ def _combination(M, N, coeffs, basis):
 
 
 def is_isomorphic(M, N):
-    """Whether M and N are isomorphic: equal matrices, then each element
-    of a basis of Hom(M, N), then 30 seeded random combinations of it.
+    """Whether M and N are isomorphic, for M or N indecomposable: equal
+    matrices, then each element of a basis of Hom(M, N).
 
-    When M or N is indecomposable, Hom(M, N) is a module over its local
-    endomorphism ring, so if M and N are isomorphic some basis element
-    is an isomorphism and the basis loop answers; the random combinations
-    then only repeat a "no".  They decide the answer, and can miss an
-    isomorphism, only when neither module is indecomposable.
+    If M is indecomposable and f: M -> N an isomorphism, Hom(M, N) =
+    f End(M), and a basis of End(M) cannot lie in the radical of that
+    local ring, so some basis element is an isomorphism; likewise for N.
+    When both are decomposable the answer can be a wrong "no".
     """
-    if M.algebra is not N.algebra and M.algebra != N.algebra:
-        return False
-    if M.dim != N.dim:
+    if (M.algebra is not N.algebra and M.algebra != N.algebra
+            or M.dim != N.dim):
         return False
     # equal dimensions give equal arrow keys, so equal matrices mean the
     # identity is an isomorphism
     if M is N or M.mats == N.mats:
         return True
-    basis = hom_basis(M, N)
-    if not basis:
-        return False
-    for f in basis:
-        if f.is_invertible():
-            return True
-    if len(basis) == 1:
-        return False
-    rng = random.Random(1729)
-    for _ in range(30):
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
-        if _combination(M, N, coeffs, basis).is_invertible():
-            return True
-    return False
+    return any(f.is_invertible() for f in hom_basis(M, N))
 
 
 # -- radical / top / covers --------------------------------------------

@@ -1,11 +1,13 @@
 """Shared fixture algebras for the test suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from arglue import fracture as fx
+from arglue import linalg, replab
 from arglue.core import BoundQuiverPresentation, KupischSeries, Quiver
 
 # the same examples on every run: a failure found once is found again;
@@ -64,6 +66,44 @@ def orbit_four_fixture():
     rels = [(s[i], s[i + 1]) for s in seqs for i in range(3)]
     rels += [("a4", "a1"), ("a4", "b1"), ("b4", "b1"), ("b4", "a1")]
     return BoundQuiverPresentation(Quiver(verts, arrows), rels)
+
+
+def two_presentations_of_a_sum():
+    """(M, N): two presentations of [1,3] + [2,3] over 1 -> 3 <- 2 with
+    no relations.  No element of the 2-element basis of Hom(M, N) is an
+    isomorphism, and both elements of the basis of End(M), and their sum,
+    are automorphisms."""
+    A = BoundQuiverPresentation(
+        Quiver(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "3")]), [])
+    one, two, zero = Fraction(1), Fraction(2), Fraction(0)
+    dims = {"1": 1, "2": 1, "3": 2}
+    M = replab.Representation(A, dims, {"a": [[one], [one]],
+                                        "b": [[one], [two]]})
+    N = replab.Representation(A, dims, {"a": [[one], [zero]],
+                                        "b": [[zero], [one]]})
+    return M, N
+
+
+def rebased(M, rng):
+    """M under a random invertible change of basis g at one vertex v of
+    its support: g M_a on the arrows into v, M_a g^-1 on those out of v.
+    Isomorphic to M, mostly with other matrices."""
+    q = M.algebra.quiver
+    v = rng.choice(list(M.dim))
+    d = M.dim[v]
+    g = None
+    while g is None or linalg.rank(g) < d:
+        g = [[Fraction(rng.randint(-3, 3)) for _ in range(d)]
+             for _ in range(d)]
+    inverse = linalg.invert(g)
+    mats = {}
+    for a, m in M.mats.items():
+        if q.tgt[a] == v:
+            m = linalg.matmul(g, m)
+        if q.src[a] == v:
+            m = linalg.matmul(m, inverse)
+        mats[a] = m
+    return replab.Representation(M.algebra, dict(M.dim), mats)
 
 
 def left_ab(A, anchor, height=None):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,8 +9,9 @@ from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
 from arglue.gluing import GluingSpec, glue
 from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
                       orbit_four_fixture, rad2_chain, random_acyclic_series,
-                      random_cyclic_series, right_ab)
-from oracles import eager_levels, radical_arrows, translate_each
+                      random_cyclic_series, rebased, right_ab)
+from oracles import (eager_levels, radical_arrows, randomized_is_isomorphic,
+                     translate_each)
 
 
 def test_indecomposable_counts():
@@ -206,8 +208,7 @@ def test_is_representation_directed():
 
 def _all_pairs_directed(A):
     """The certificate from the full Hom table, one hom_dim per pair."""
-    reps, complete, capped, _ = arquiver._enumerate(A)
-    assert complete and not capped
+    reps = arquiver._complete_enumeration(A).index.reps
     n = len(reps)
     adj = {i: [] for i in range(n)}
     indeg = {i: 0 for i in range(n)}
@@ -236,6 +237,60 @@ def test_directedness_matches_all_pairs_hom_table():
     got = [arquiver.is_representation_directed(A) for A in corpus]
     assert got == [_all_pairs_directed(A) for A in corpus]
     assert sum(not ok for ok, _ in got) == 3  # the three cyclic quivers
+
+
+def test_directedness_reuses_the_enumeration(monkeypatch):
+    calls = []
+    enumerate_ = arquiver._enumerate
+
+    def counted(A, cap=4096):
+        calls.append(A)
+        return enumerate_(A, cap=cap)
+
+    monkeypatch.setattr(arquiver, "_enumerate", counted)
+    A = branched_ten()
+    ind = arquiver.indecomposables(A)
+    ok, detail = arquiver.is_representation_directed(A)
+    assert ok and detail["count"] == len(ind) == 24
+    assert calls == [A]
+    # a cycle quiver is judged on its closed-form record
+    C = nakayama(KupischSeries([2, 2], cyclic=True))
+    ok, detail = arquiver.is_representation_directed(C)
+    assert not ok and detail["reason"] == "Hom digraph has a cycle"
+    assert calls == [A]
+
+
+def _kronecker():
+    return BoundQuiverPresentation(
+        Quiver(["0", "1"], [("x", "0", "1"), ("y", "0", "1")]), [])
+
+
+def test_kronecker_enumeration_stops_at_the_dimension_bound():
+    # the preprojective component is infinite: its modules grow past any
+    # dimension a representation-directed algebra allows
+    A = _kronecker()
+    with pytest.raises(arquiver.EnumerationError, match=re.escape(
+            "node 6 [7, 8] has dimension 7 at vertex 0, above the bound 6")):
+        arquiver.indecomposables(A)
+    assert replab._memo_get(A, "enumeration") is None
+    ok, detail = arquiver.is_representation_directed(A)
+    assert not ok and "above the bound 6" in detail["reason"]
+
+
+def test_basis_isomorphism_test_matches_the_randomized_oracle():
+    # each node against every node of its dimension vector, and against
+    # a copy of one of them in another basis; and the lookups of the
+    # P(v) and I(v), each of which finds exactly one node
+    rng = random.Random(20261020)
+    for A in _knit_corpus():
+        ind = arquiver.indecomposables(A)
+        standard = ([replab.projective(A, v) for v in A.quiver.vertices]
+                    + [replab.injective(A, v) for v in A.quiver.vertices])
+        for X in ind + [rebased(X, rng) for X in ind] + standard:
+            same = [Y for Y in ind if Y.dim_vector() == X.dim_vector()]
+            got = [replab.is_isomorphic(X, Y) for Y in same]
+            assert got == [randomized_is_isomorphic(X, Y) for Y in same]
+            assert sum(got) == 1
 
 
 def test_to_dot_output():

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from arglue import cli
+from arglue import cli, replab
 from arglue.cli import run
 from arglue.core import KupischSeries, kupisch_of, linear_a, parse_algebra
-from conftest import branched_ten, chain_four
+from conftest import branched_ten, chain_four, two_presentations_of_a_sum
 
 
 @pytest.fixture
@@ -123,7 +123,6 @@ def test_check_nct_modules_with_unknown_names_is_input_error(tmp_path,
 def test_check_fractured_decomposable_member_is_input_error(tmp_path,
                                                            capsys):
     from arglue import fracture as fx
-    from arglue import replab
     from arglue.core import nakayama
     from arglue.verifier import tau_orbit_candidate
     A = nakayama(KupischSeries([3, 3, 3, 2, 1]))
@@ -151,6 +150,44 @@ def test_check_fractured_decomposable_member_is_input_error(tmp_path,
     assert code == 3
     assert "input error" in err and "not indecomposable" in err
     assert str(list(total.dim_vector())) in err and "Traceback" not in err
+
+
+def test_check_nct_decomposable_module_is_input_error(tmp_path, capsys):
+    M, _ = two_presentations_of_a_sum()
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(M.algebra.to_json()))
+    mods = tmp_path / "modules.json"
+    mods.write_text(json.dumps([replab.rep_to_json(M)]))
+    code, _ = run(["check", "nct", str(alg), "--modules", str(mods),
+                   "-n", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error: module 0 with dimension vector [1, 1, 2]" in err
+    assert "not indecomposable" in err and "Traceback" not in err
+
+
+def test_resolution_past_its_cap_is_a_verification_error(capsys):
+    code, _ = run(["nakayama", "--cyclic", "--kupisch", "3,3", "check-nct",
+                   "-n", "40"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"verification error: projective resolution exceeds cap "
+            f"{replab.RESOLUTION_CAP}") in err
+    assert "Traceback" not in err
+
+
+def test_kronecker_indecomposables_are_a_verification_error(tmp_path,
+                                                            capsys):
+    alg = tmp_path / "kronecker.json"
+    alg.write_text(json.dumps(
+        {"vertices": ["0", "1"],
+         "arrows": [{"id": "x", "from": "0", "to": "1"},
+                    {"id": "y", "from": "0", "to": "1"}],
+         "relations": []}))
+    code, _ = run(["algebra", "indec", str(alg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "verification error" in err and "above the bound 6" in err
 
 
 def test_glue_pair(chain_file, branched_file, tmp_path):

@@ -1,8 +1,9 @@
 """Randomized command-line inputs: a document with one part replaced by
 arbitrary JSON is either still well formed, and gets a verdict, or is an
 input error (exit 3) with a message and no traceback; an algebra whose
-arrows close a cycle is valid or non-admissible (exit 3); valid Nakayama
-and starlike ``check-nct`` runs always end in a verdict."""
+arrows close a cycle is valid or non-admissible (exit 3); a module list
+of nodes gets a verdict, and one holding a direct sum is an input error;
+valid Nakayama and starlike ``check-nct`` runs always end in a verdict."""
 
 import contextlib
 import io
@@ -14,10 +15,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arglue import cli
+from arglue import arquiver, cli, replab
 from arglue import fracture as fx
 from arglue.core import AlgebraError, KupischSeries, nakayama
-from conftest import chain_four, random_acyclic_series, random_cyclic_series
+from conftest import (chain_four, random_acyclic_series, random_cyclic_series,
+                      rebased)
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -148,6 +150,37 @@ def test_malformed_module_documents_are_input_errors(doc):
     code, err = _run(["check", "nct", "alg", "--modules", "mods", "-n", "2"],
                      {"alg": _CHAIN.to_json(), "mods": doc})
     _assert_outcome(code, err, _well_formed(cli._load_modules, _CHAIN, doc))
+
+
+_NODES = arquiver.indecomposables(_CHAIN)
+
+
+@st.composite
+def _module_lists(draw):
+    """(dumps, has_sum): 1-5 nodes of chain_four, each possibly in another
+    basis, and sometimes the direct sum of two nodes in another basis."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    node = st.sampled_from(_NODES)
+    mods = [rebased(X, rng) if draw(st.booleans()) else X
+            for X in draw(st.lists(node, min_size=1, max_size=5))]
+    has_sum = draw(st.booleans())
+    if has_sum:
+        total = replab.direct_sum(_CHAIN, [draw(node), draw(node)])
+        mods.insert(draw(st.integers(0, len(mods))), rebased(total, rng))
+    return [replab.rep_to_json(X) for X in mods], has_sum
+
+
+@FUZZ
+@given(_module_lists(), st.integers(1, 3))
+def test_module_lists_of_nodes_get_a_verdict_and_sums_are_rejected(drawn, n):
+    doc, has_sum = drawn
+    code, err = _run(["check", "nct", "alg", "--modules", "mods",
+                      "-n", str(n)], {"alg": _CHAIN.to_json(), "mods": doc})
+    assert "Traceback" not in err
+    if has_sum:
+        assert code == cli.INPUT_ERROR and "not indecomposable" in err, err
+    else:
+        assert code in (cli.PASS, cli.FAIL), err
 
 
 _KUPISCH = nakayama(KupischSeries([3, 3, 3, 2, 1]))

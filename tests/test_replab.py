@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from arglue import arquiver, linalg, replab
 from arglue.core import KupischSeries, linear_a, nakayama, starlike
-from conftest import branched_ten, chain_four, rad2_chain
+from conftest import (branched_ten, chain_four, rad2_chain,
+                      two_presentations_of_a_sum)
+from oracles import randomized_is_isomorphic
 
 
 @pytest.fixture
@@ -84,6 +87,27 @@ def test_decompose_direct_sum(A):
     parts = replab.decompose(M)
     assert len(parts) == 3
     assert sorted(p.total_dim() for p in parts) == [1, 1, 2]
+
+
+def test_basis_alone_can_miss_an_isomorphism_of_decomposables():
+    # the reason a module list read on the command line is matched to
+    # the nodes first: is_isomorphic needs one side indecomposable
+    M, N = two_presentations_of_a_sum()
+    assert len(replab.hom_basis(M, N)) == 2
+    assert not replab.is_isomorphic(M, N)
+    assert randomized_is_isomorphic(M, N)
+
+
+def test_decompose_splits_only_at_a_random_combination():
+    M, _ = two_presentations_of_a_sum()
+    endos = replab.hom_basis(M, M)
+    assert len(endos) == 2
+    # the basis and its one pairwise sum are automorphisms: no split
+    tried = list(itertools.islice(replab._split_candidates(M, endos), 3))
+    assert all(f.is_invertible() for f in tried)
+    assert [replab._try_split(M, f) for f in tried] == [None] * 3
+    parts = replab.decompose(M)
+    assert sorted(p.dim_vector() for p in parts) == [(0, 1, 1), (1, 0, 1)]
 
 
 def test_is_isomorphic_accepts_equal_presentations():
