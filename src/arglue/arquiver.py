@@ -1,18 +1,27 @@
 """Indecomposable enumeration and Auslander-Reiten quivers.
 
 Every enumerable algebra has one record of its indecomposables, kept on
-the algebra the first time any caller asks for it: the node list, the
-tau-minus image of every node, the node of each P(v) and an isomorphism
-index over the nodes.  Every ``indecomposables``, ``ar_quiver``, orbit
+the algebra the first time any caller asks for it: per node its
+dimension vector and tau-minus image, the node of each P(v), and the
+node's module.  Every ``indecomposables``, ``ar_quiver``, orbit
 candidate and fractured check reads that record.
 
-Off a cycle quiver, enumeration walks the tau-minus orbits of the
-indecomposable projectives; for representation-directed algebras this
-reaches every indecomposable, certified by all injectives showing up.
-The AR quiver is knitted from the record: the arrows into P(v) are the
-summands of rad P(v), and the arrows into tau^- W are the arrows out of
-W (Assem-Simson-Skowronski, Elements Vol. 1, IV.4), with no Hom space
-between two different nodes.
+Off a cycle quiver the record is first knitted in integers
+(``_knit_record``).  P(v) is placed once every summand of rad P(v) is a
+node; for a monomial algebra these are the a Lambda for the arrows a out
+of v.  The arrows into tau^- X are the arrows out of X, and dim tau^- X =
+sum over X -> Y of m dim Y - dim X, the mesh ending at tau^- X
+(Assem-Simson-Skowronski, Elements Vol. 1, IV.4).  This is exact for a
+representation-directed algebra: a directing indecomposable is determined
+by its dimension vector (Happel-Ringel; Elements Vol. 1, IX.3), and a
+finite component that holds every projective is the whole AR quiver
+(Auslander).  A knitted node's module is built the first time it is read,
+by ``replab.projective`` for a P(v) and else by translating its tau.
+Where the knit gets stuck or breaks one of its certificates (a negative,
+repeated or zero vector, a vertex dimension above 6, more than ``cap``
+nodes, an injective missing), ``_enumerate`` walks the tau-minus orbits
+of the projectives with ``decompose`` and isomorphism tests instead, and
+the AR quiver is knitted from its record (``_knit``).
 
 On a cycle quiver the indecomposables are the uniserials M(v, l) (top
 S(v), length l), some of whose tau-orbits are periodic and hold no
@@ -41,26 +50,33 @@ class EnumerationError(RuntimeError):
 
 
 class ARNode:
-    def __init__(self, node_id, rep):
+    """A node of an AR quiver; its module is ``module(i)``, read when
+    first asked for."""
+
+    def __init__(self, node_id, module, i):
         self.id = node_id
-        self.rep = rep
+        self._module, self._i = module, i
         self.is_projective = False
         self.is_injective = False
+
+    @property
+    def rep(self):
+        return self._module(self._i)
 
     def __repr__(self):
         return f"ARNode({self.id})"
 
 
-def _nodes(reps):
-    """One ARNode per module, with the stable id "(dims)@k", k counting
-    the earlier modules of the same dimension vector."""
+def _nodes(dims, module):
+    """One ARNode per dimension vector, node i holding ``module(i)``, with
+    the stable id "(dims)@k", k counting the earlier nodes of the same
+    dimension vector."""
     seen = {}
     nodes = []
-    for rep in reps:
-        dv = rep.dim_vector()
+    for i, dv in enumerate(dims):
         k = seen.get(dv, 0)
         seen[dv] = k + 1
-        nodes.append(ARNode(f"({','.join(map(str, dv))})@{k}", rep))
+        nodes.append(ARNode(f"({','.join(map(str, dv))})@{k}", module, i))
     return nodes
 
 
@@ -95,10 +111,13 @@ class _IsoIndex:
             if not dedupe or (not rep.is_zero() and self.find(rep) is None):
                 self.add(rep)
 
+    def module(self, i):
+        return self.reps[i]
+
     def find(self, rep):
         """Position of the stored module isomorphic to rep, or None."""
         for i in self.buckets.get(rep.dim_vector(), ()):
-            if replab.is_isomorphic(rep, self.reps[i]):
+            if replab.is_isomorphic(rep, self.module(i)):
                 return i
         return None
 
@@ -109,36 +128,88 @@ class _IsoIndex:
         return len(self.reps) - 1
 
 
-class _Record:
-    """What translating each node once leaves behind (or, on a cycle
-    quiver, the closed form gives): per node, the index of its tau-minus
-    image, None when the node is injective; per vertex v, the index of
-    P(v); and the isomorphism index over all nodes.
+class _Record(_IsoIndex):
+    """A's indecomposables as an isomorphism-class store of nodes, with
+    per node its dimension vector (``dims``) and the index of its
+    tau-minus image, None when the node is injective, and per vertex v the
+    index of P(v).  A knitted record starts with every module unbuilt
+    (None in ``reps``) and builds each when first read (``module``).
 
-    On a complete list it also answers, per node, the node indices
-    of the summands of its syzygy, cosyzygy and translates, each table
-    filled the first time it is read.
+    It also answers, per node, the node indices of the summands of its
+    syzygy, cosyzygy and translates, each table filled the first time it
+    is read.
     """
 
-    def __init__(self, index):
-        self.index = index
+    def __init__(self, A):
+        super().__init__()
+        self.algebra = A
+        self.dims = []
         self.tau_minus = []
         self.projective = {}
+        self.knitted = False
         self.cosyzygy = {}   # node -> Omega^- module, until decomposed
         self._syzygies = {"+": {}, "-": {}}   # direction -> node -> nodes
-        self.arrows = None   # cycle quivers: {(i, j): multiplicity}
+        self.arrows = None   # knitted and cycle records: {(i, j): mult}
         self._tau = None
-        self._positions = None
+        self._matched = {}   # id(module) -> (module, node) for ``match``
+
+    def add(self, rep):
+        self.dims.append(rep.dim_vector())
+        self.tau_minus.append(None)
+        return super().add(rep)
+
+    def module(self, i):
+        """Node i's module.  An unbuilt one is built now: P(v) by
+        ``replab.projective``, any other node by translating its tau,
+        built first, which leaves that node's Omega^- for the tables."""
+        chain = []
+        j = i
+        while j is not None and self.reps[j] is None:
+            chain.append(j)
+            j = self.tau()[j]
+        for j in reversed(chain):
+            t = self.tau()[j]
+            if t is None:
+                vertex = next(v for v, k in self.projective.items() if k == j)
+                self.reps[j] = replab.projective(self.algebra, vertex)
+                continue
+            omega, self.reps[j] = replab.cosyzygy_and_translate(self.reps[t])
+            if t not in self._syzygies["-"]:
+                self.cosyzygy[t] = omega
+        return self.reps[i]
+
+    def modules(self):
+        """Every node's module, in node order."""
+        return [self.module(i) for i in range(len(self.reps))]
 
     def position(self, rep):
-        """Index of the node that is the object rep, or None."""
-        if self._positions is None:
-            self._positions = {id(r): i for i, r in enumerate(self.index.reps)}
-        return self._positions.get(id(rep))
+        """Index of the node whose built module is the object rep, or
+        None."""
+        for i in self.buckets.get(rep.dim_vector(), ()):
+            if self.reps[i] is rep:
+                return i
+        return None
+
+    def match(self, rep):
+        """Index of the node isomorphic to the module rep, or None; a rep
+        that is not a node's module is looked up once, and its node kept
+        for later calls with the same object."""
+        i = self.position(rep)
+        if i is None:
+            kept = self._matched.get(id(rep))
+            if kept is None or kept[0] is not rep:
+                kept = self._matched[id(rep)] = (rep, self.find(rep))
+            i = kept[1]
+        return i
 
     def locate(self, rep):
-        """Index of the node isomorphic to the indecomposable rep."""
-        i = self.index.find(rep)
+        """Index of the node isomorphic to the indecomposable rep: on a
+        knitted record the node of its dimension vector, elsewhere found
+        up to isomorphism."""
+        if self.knitted:
+            i = self.buckets.get(rep.dim_vector(), (None,))[0]
+        else:
+            i = self.find(rep)
         if i is None:
             raise EnumerationError("indecomposable left the enumerated set "
                                    "(bug)")
@@ -151,7 +222,7 @@ class _Record:
         if i not in table:
             rep = self.cosyzygy.pop(i, None) if direction == "-" else None
             if rep is None:
-                rep = replab.syzygy(self.index.reps[i], direction, 1)
+                rep = replab.syzygy(self.module(i), direction, 1)
             table[i] = [self.locate(part) for part in replab.decompose(rep)]
         return table[i]
 
@@ -181,6 +252,118 @@ class _Record:
         return self._tau
 
 
+def _knit_record(A, cap=ENUMERATION_CAP):
+    """A's record knitted from dimension vectors, with its arrows, in
+    ``_enumerate``'s node order; None where ``_enumerate`` must decide.
+
+    Nodes are made from a ready queue: P(v) once a node has the
+    dimension vector of each summand of rad P(v), and tau^- X once every
+    arrow out of X is known, i.e. once each P with X | rad P is placed and
+    each non-injective predecessor of X is translated.  A node with the
+    dimension vector of some I(v) is injective.  None when a vector is
+    negative, zero, repeated or above 6 at a vertex, when there would be
+    more than cap nodes (as ``_enumerate`` counts them), when the queue
+    runs dry with a P(v) or a non-injective node left, and when an I(v)
+    is missing.
+    """
+    q = A.quiver
+    pos = q.vertex_pos
+    width = len(q.vertices)
+    # dim P(v), and dim a Lambda from the relation-free paths starting
+    # with a, for each arrow a
+    proj = {v: [0] * width for v in q.vertices}
+    part = {a: [0] * width for a, _, _ in q.arrows}
+    for v, t, p in A.all_paths():
+        proj[v][pos[t]] += 1
+        if p:
+            part[p[0]][pos[t]] += 1
+    radical = {v: {} for v in q.vertices}   # v -> {dim vector: mult}
+    for a, v, _ in q.arrows:
+        dv = tuple(part[a])
+        radical[v][dv] = radical[v].get(dv, 0) + 1
+    proj = {v: tuple(d) for v, d in proj.items()}
+    # dim I(v) at w counts the paths from w to v, as dim P(w) at v does
+    injective = {tuple(proj[w][pos[v]] for w in q.vertices)
+                 for v in q.vertices}
+    wanted = {}   # dim vector -> vertices with a summand of it in rad P(v)
+    for v, parts in radical.items():
+        for dv in parts:
+            wanted.setdefault(dv, []).append(v)
+    missing = {v: len(parts) for v, parts in radical.items()}
+    placeable = [v for v in sorted(q.vertices) if not missing[v]]
+    ready = []
+    dims, at, into, out, tau_minus, placed = [], {}, [], [], [], {}
+    final = []     # per node: injective, so never translated
+    pending = []   # per node: arrows out of it not yet known
+
+    def add(dv, arrows_in):
+        i = len(dims)
+        dims.append(dv)
+        at[dv] = i
+        into.append(arrows_in)
+        out.append({})
+        tau_minus.append(None)
+        final.append(dv in injective)
+        pending.append(len(wanted.get(dv, ()))
+                       + sum(not final[u] for u in arrows_in))
+        for u, m in arrows_in.items():
+            out[u][i] = m
+            pending[u] -= 1
+            if not pending[u] and not final[u]:
+                ready.append(u)
+        for v in wanted.get(dv, ()):
+            missing[v] -= 1
+            if not missing[v]:
+                placeable.append(v)
+        if not pending[i] and not final[i]:
+            ready.append(i)
+        return i
+
+    while placeable or ready:
+        v = placeable.pop() if placeable else None
+        if v is not None:
+            dv = proj[v]
+            arrows_in = {at[d]: m for d, m in radical[v].items()}
+        else:
+            x = ready.pop()
+            dv = [-d for d in dims[x]]
+            for y, m in out[x].items():
+                for k, d in enumerate(dims[y]):
+                    dv[k] += m * d
+            dv, arrows_in = tuple(dv), out[x]
+        if (dv in at or min(dv) < 0 or max(dv) > 6 or not any(dv)
+                or len(dims) >= max(cap, width)):
+            return None
+        if v is not None:
+            placed[v] = add(dv, arrows_in)
+        else:
+            tau_minus[x] = add(dv, arrows_in)
+    if (len(placed) < width or not all(dv in at for dv in injective)
+            or any(t is None and not f for f, t in zip(final, tau_minus))):
+        return None
+    # _enumerate's order: the P(v) by vertex, then each node's translate
+    # in the order the nodes come
+    order = [placed[v] for v in sorted(q.vertices)]
+    for i in order:
+        if tau_minus[i] is not None:
+            order.append(tau_minus[i])
+    new = [0] * len(order)
+    for k, i in enumerate(order):
+        new[i] = k
+    record = _Record(A)
+    record.knitted = True
+    record.dims = [dims[i] for i in order]
+    record.reps = [None] * len(order)
+    record.buckets = {dv: [k] for k, dv in enumerate(record.dims)}
+    record.tau_minus = [None if tau_minus[i] is None else new[tau_minus[i]]
+                        for i in order]
+    record.projective = {v: k for k, v in enumerate(sorted(q.vertices))}
+    record.arrows = dict(sorted(((new[u], new[j]), m)
+                                for j, arrows in enumerate(into)
+                                for u, m in arrows.items()))
+    return record
+
+
 def _enumerate(A, cap=ENUMERATION_CAP):
     """The record of A's indecomposables from the tau-minus orbits of the
     projectives; EnumerationError when the walk passes cap nodes, finds a
@@ -195,9 +378,8 @@ def _enumerate(A, cap=ENUMERATION_CAP):
     larger node ends walks into infinite components, e.g. the Kronecker
     algebra's, long before cap.
     """
-    index = _IsoIndex()
-    record = _Record(index)
-    order = index.reps
+    record = _Record(A)
+    order = record.reps
 
     def add(rep):
         for v, d in rep.dim.items():
@@ -206,12 +388,11 @@ def _enumerate(A, cap=ENUMERATION_CAP):
                     f"node {len(order)} {list(rep.dim_vector())} has "
                     f"dimension {d} at vertex {v}, above the bound 6 for "
                     "representation-directed algebras")
-        record.tau_minus.append(None)
-        return index.add(rep)
+        return record.add(rep)
 
     for v in sorted(A.quiver.vertices):
         P = replab.projective(A, v)
-        i = index.find(P)
+        i = record.find(P)
         record.projective[v] = add(P) if i is None else i
     # the queue is the node list itself: every node is translated once,
     # in the order it was found
@@ -224,7 +405,7 @@ def _enumerate(A, cap=ENUMERATION_CAP):
                 raise EnumerationError(
                     "tau-minus image of an indecomposable split into "
                     f"{len(parts)} summands")
-            j = index.find(parts[0])
+            j = record.find(parts[0])
             if j is None:
                 if len(order) >= cap:
                     raise EnumerationError(
@@ -233,7 +414,7 @@ def _enumerate(A, cap=ENUMERATION_CAP):
                 j = add(parts[0])
             record.tau_minus[i] = j
         i += 1
-    if any(index.find(replab.injective(A, v)) is None
+    if any(record.find(replab.injective(A, v)) is None
            for v in A.quiver.vertices):
         raise EnumerationError(
             "tau-minus orbits of projectives missed an injective; "
@@ -277,8 +458,9 @@ def _cycle_record(A):
     for i, t in enumerate(socle):
         if t not in injective or keys[i][1] > keys[injective[t]][1]:
             injective[t] = i
-    record = _Record(_IsoIndex(replab.uniserial_modules(A), dedupe=False))
-    record.tau_minus = [None] * len(keys)
+    record = _Record(A)
+    for rep in replab.uniserial_modules(A):
+        record.add(rep)
     omega, coomega = record._syzygies["+"], record._syzygies["-"]
     arrows = {}
     for j, (v, l) in enumerate(keys):
@@ -296,6 +478,13 @@ def _cycle_record(A):
     return record
 
 
+def _new_record(A, cap=ENUMERATION_CAP):
+    """A's record off a cycle quiver: knitted, or else from
+    ``_enumerate``, which raises its EnumerationError."""
+    record = _knit_record(A, cap)
+    return _enumerate(A, cap=cap) if record is None else record
+
+
 def _complete_enumeration(A, cap=ENUMERATION_CAP):
     """The record of A's indecomposables, or ``_enumerate``'s
     EnumerationError.
@@ -308,17 +497,17 @@ def _complete_enumeration(A, cap=ENUMERATION_CAP):
         return replab._memo(A, "enumeration", lambda: _cycle_record(A))
     record = replab._memo_get(A, "enumeration")
     if record is None or len(record.tau_minus) > cap:
-        record = _enumerate(A, cap=cap)
+        record = _new_record(A, cap)
     return replab._memo(A, "enumeration", lambda: record)
 
 
 def indecomposables(A, cap=ENUMERATION_CAP):
-    return list(_complete_enumeration(A, cap).index.reps)
+    return _complete_enumeration(A, cap).modules()
 
 
 def _knit(A, record):
     """Irreducible-map multiplicities {(i, j): m} in sorted (i, j) order,
-    from the tau-minus record and its inverse.
+    from the tau-minus record of ``_enumerate`` and its inverse.
 
     The arrows into P(v) come from the summands of rad P(v) = Omega S(v).
     The arrows into tau^- W are the arrows out of W (the mesh ending at
@@ -331,7 +520,7 @@ def _knit(A, record):
     for v, j in record.projective.items():
         rad = replab.syzygy(replab.simple(A, v), "+", 1)
         for part in replab.decompose(rad):
-            i = record.index.find(part)
+            i = record.find(part)
             if i is None:
                 raise EnumerationError(
                     "radical summand of a projective left the enumerated "
@@ -355,19 +544,20 @@ def _knit(A, record):
 
 def ar_quiver(A, cap=ENUMERATION_CAP):
     """AR quiver of a representation-directed algebra, or of a Nakayama
-    algebra on a cycle quiver.  Arrows are knitted from the tau-minus
-    orbits of the projectives; on a cycle quiver, whose periodic orbits
-    hold no projective to start from, they come with its record."""
+    algebra on a cycle quiver.  The arrows come with a knitted or a cycle
+    record, and are knitted from ``_enumerate``'s tau-minus orbits of the
+    projectives otherwise; node modules are built when first read."""
     record = _complete_enumeration(A, cap)
-    reps = record.index.reps
-    nodes = _nodes(reps)
+    nodes = _nodes(record.dims, record.module)
     # brick sanity (knitting and the cycle formulas rely on it).  Off a
     # cycle, enumeration certifies every node but the P(v), and
     # dim End P(v) = dim P(v)_v
     if _is_cycle(A.quiver):
-        bricks = all(replab.hom_dim(rep, rep) == 1 for rep in reps)
+        bricks = all(replab.hom_dim(rep, rep) == 1 for rep in record.reps)
     else:
-        bricks = all(reps[i].dim[v] == 1 for v, i in record.projective.items())
+        pos = A.quiver.vertex_pos
+        bricks = all(record.dims[i][pos[v]] == 1
+                     for v, i in record.projective.items())
     if not bricks:
         raise EnumerationError(
             "non-brick indecomposable found; AR quiver assembly "
@@ -388,6 +578,9 @@ def ar_quiver(A, cap=ENUMERATION_CAP):
 def verify_mesh_identity(ar):
     """dim tau^- M = sum over arrows M -> E of mult * dim E - dim M."""
     inv_tau = {v: k for k, v in ar.tau.items()}
+    middle = {}   # node id -> sum over arrows out of it of mult * dim E
+    for (x, y), mult in ar.arrows.items():
+        middle[x] = middle.get(x, 0) + mult * ar.by_id[y].rep.total_dim()
     failures = []
     for node in ar.nodes:
         if node.is_injective:
@@ -396,11 +589,7 @@ def verify_mesh_identity(ar):
         if succ is None:
             failures.append((node.id, "no tau-inverse"))
             continue
-        total = 0
-        for (x, y), mult in ar.arrows.items():
-            if x == node.id:
-                total += mult * ar.by_id[y].rep.total_dim()
-        expected = total - node.rep.total_dim()
+        expected = middle.get(node.id, 0) - node.rep.total_dim()
         if ar.by_id[succ].rep.total_dim() != expected:
             failures.append((node.id, "mesh identity fails"))
     return failures
@@ -411,7 +600,7 @@ def is_representation_directed(A):
     Hom digraph when True, else the reason, an EnumerationError or
     DecompositionError message or a Hom cycle with its members."""
     try:
-        reps = _complete_enumeration(A).index.reps
+        reps = _complete_enumeration(A).modules()
     except (EnumerationError, replab.DecompositionError) as e:
         return False, {"reason": str(e)}
     n = len(reps)

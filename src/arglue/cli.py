@@ -62,12 +62,13 @@ def _load_algebra(path):
 
 def _load_modules(A, doc):
     """The modules of a module list; CliError for a non-zero one that is
-    isomorphic to no node of A's complete enumeration."""
+    isomorphic to no node of A's complete enumeration.  The record keeps
+    each module's node for later checks (``_Record.match``)."""
     with _malformed("module list"):
         modules = [replab.rep_from_json(A, d) for d in doc]
-    index = arquiver._complete_enumeration(A).index
+    record = arquiver._complete_enumeration(A)
     for k, M in enumerate(modules):
-        if not M.is_zero() and index.find(M) is None:
+        if not M.is_zero() and record.match(M) is None:
             raise CliError(f"module {k} with dimension vector "
                            f"{list(M.dim_vector())} is not indecomposable")
     return modules

@@ -147,7 +147,8 @@ def glue_ar(arA, arB, glued):
     expected = arA.node_count() + arB.node_count() - len(fA)
     if len(reps) != expected:
         raise AlgebraError("foundation identification lost nodes")
-    nodes = arquiver._nodes(reps)
+    nodes = arquiver._nodes([rep.dim_vector() for rep in reps],
+                            reps.__getitem__)
     arrows = {}
     for src_ar, tag in ((arB, "B"), (arA, "A")):
         for (x, y), mult in src_ar.arrows.items():

@@ -92,7 +92,7 @@ def tau_orbit_candidate(A, n, cap=arquiver.ENUMERATION_CAP):
                if j not in members]
         out.extend(new)
         members.update(new)
-    return Subcategory(A, [record.index.reps[i] for i in out], dedupe=False)
+    return Subcategory(A, [record.module(i) for i in out], dedupe=False)
 
 
 def _pairs_into(X, n, members_at, first):
@@ -299,18 +299,15 @@ class _NodeSteps:
         self.n = n
 
     def handles(self, modules):
-        """The node of each module: the module itself when it is a node,
-        else the node isomorphic to it; AlgebraError when there is none,
-        as the record holds every indecomposable."""
+        """The node of each module (``_Record.match``); AlgebraError when
+        there is none, as the record holds every indecomposable."""
         out = []
         for X in modules:
-            i = self.record.position(X)
+            i = self.record.match(X)
             if i is None:
-                i = self.record.index.find(X)
-                if i is None:
-                    raise AlgebraError(
-                        f"member with dimension vector {list(X.dim_vector())}"
-                        " is not indecomposable")
+                raise AlgebraError(
+                    f"member with dimension vector {list(X.dim_vector())}"
+                    " is not indecomposable")
             out.append(i)
         return out
 

@@ -8,7 +8,9 @@ from hypothesis import settings
 
 from arglue import fracture as fx
 from arglue import linalg, replab
-from arglue.core import BoundQuiverPresentation, KupischSeries, Quiver
+from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
+                         linear_a, nakayama)
+from arglue.gluing import GluingSpec, glue
 
 # the same examples on every run: a failure found once is found again;
 # each test keeps its own max_examples
@@ -66,6 +68,38 @@ def orbit_four_fixture():
     rels = [(s[i], s[i + 1]) for s in seqs for i in range(3)]
     rels += [("a4", "a1"), ("a4", "b1"), ("b4", "b1"), ("b4", "a1")]
     return BoundQuiverPresentation(Quiver(verts, arrows), rels)
+
+
+def not_directed():
+    """Enumeration reports 31 nodes as complete, though the algebra is not
+    representation-directed: rad P(3) = S(4) lies outside the
+    preprojective component."""
+    arrows = [("b", "0", "1"), ("c", "1", "3"), ("d", "3", "4"),
+              ("e", "4", "5"), ("f", "0", "5"), ("g", "2", "5")]
+    return BoundQuiverPresentation(
+        Quiver([str(i) for i in range(6)], arrows), [("c", "d"), ("d", "e")])
+
+
+def knit_corpus():
+    """Acyclic and glued algebras, linear A_h, random acyclic Nakayama
+    algebras and two cyclic ones, whose AR quivers are checked against
+    oracles."""
+    A4, B = chain_four(), branched_ten()
+    glued = glue(GluingSpec(A4, left_ab(A4, "1"), B, right_ab(B, "3")))
+    rng = random.Random(20260823)
+    return ([rad2_chain(m) for m in (3, 4, 5)]
+            + [A4, B, fold_fixture(), orbit_four_fixture(),
+               glued.presentation]
+            + [linear_a(h) for h in range(1, 11)]
+            + [nakayama(random_acyclic_series(rng)) for _ in range(12)]
+            + [nakayama(KupischSeries(s, cyclic=True))
+               for s in ([2, 2, 3, 3, 3, 3, 2], [3, 2, 3, 2, 2, 2, 3, 4])])
+
+
+def kronecker():
+    """Two arrows 0 -> 1: representation-infinite."""
+    return BoundQuiverPresentation(
+        Quiver(["0", "1"], [("x", "0", "1"), ("y", "0", "1")]), [])
 
 
 def two_presentations_of_a_sum():

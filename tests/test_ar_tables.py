@@ -15,12 +15,12 @@ import pytest
 
 from arglue import arquiver, replab, verifier
 from arglue import fracture as fx
-from arglue.core import (AlgebraError, BoundQuiverPresentation, KupischSeries,
-                         Quiver, linear_a, nakayama, starlike)
+from arglue.core import (AlgebraError, KupischSeries, linear_a, nakayama,
+                         starlike)
 from arglue.gluing import GluingSpec, glue
 from arglue.verifier import (Subcategory, check_fractured, check_nct,
                              starlike_rep_finite, tau_orbit_candidate)
-from conftest import random_cyclic_series
+from conftest import not_directed, random_cyclic_series
 from oracles import ModuleSteps, loop_candidate
 
 
@@ -178,7 +178,7 @@ def test_cyclic_tables_match_the_modules():
     for k in range(24):
         A = nakayama(random_cyclic_series(rng, 5, 8, k % 2 == 0))
         record = arquiver._complete_enumeration(A)
-        reps = record.index.reps
+        reps = record.modules()
         for i, rep in enumerate(reps):
             for direction in "+-":
                 S = replab.syzygy(rep, direction, 1)
@@ -187,18 +187,8 @@ def test_cyclic_tables_match_the_modules():
                 assert all(replab.is_isomorphic(S, X) for X in got)
 
 
-def _not_directed():
-    """Enumeration reports 31 nodes as complete, though the algebra is not
-    representation-directed: rad P(3) = S(4) lies outside the
-    preprojective component."""
-    arrows = [("b", "0", "1"), ("c", "1", "3"), ("d", "3", "4"),
-              ("e", "4", "5"), ("f", "0", "5"), ("g", "2", "5")]
-    return BoundQuiverPresentation(
-        Quiver([str(i) for i in range(6)], arrows), [("c", "d"), ("d", "e")])
-
-
 def test_complete_but_not_directed_algebra_matches_the_loop(monkeypatch):
-    A = _not_directed()
+    A = not_directed()
     assert len(arquiver.indecomposables(A)) == 31
     assert not arquiver.is_representation_directed(A)[0]
     _compare(monkeypatch, A, range(2, 5), fractured=True)
@@ -231,7 +221,7 @@ def test_decomposable_fractured_member_is_an_input_error():
 def test_tables_answer_known_translates():
     A = linear_a(4)
     record = arquiver._complete_enumeration(A)
-    reps = record.index.reps
+    reps = record.modules()
     for i, rep in enumerate(reps):
         for direction in "+-":
             want = replab.decompose(replab.syzygy(rep, direction, 1))
@@ -256,13 +246,13 @@ def test_indecomposables_returns_a_fresh_list():
 
 def test_capped_enumeration_raises_every_time_and_is_not_kept(monkeypatch):
     calls = []
-    enumerate_ = arquiver._enumerate
+    new_record = arquiver._new_record
 
     def counted(A, cap=4096):
         calls.append(cap)
-        return enumerate_(A, cap=cap)
+        return new_record(A, cap)
 
-    monkeypatch.setattr(arquiver, "_enumerate", counted)
+    monkeypatch.setattr(arquiver, "_new_record", counted)
     A = starlike([(9, "out"), (9, "out"), (9, "in"), (9, "in")])
     for _ in range(2):
         with pytest.raises(arquiver.EnumerationError):
@@ -280,13 +270,13 @@ def test_capped_enumeration_raises_every_time_and_is_not_kept(monkeypatch):
 
 def test_ar_quiver_and_indecomposables_share_one_enumeration(monkeypatch):
     calls = []
-    enumerate_ = arquiver._enumerate
+    new_record = arquiver._new_record
 
     def counted(A, cap=4096):
         calls.append(A)
-        return enumerate_(A, cap=cap)
+        return new_record(A, cap)
 
-    monkeypatch.setattr(arquiver, "_enumerate", counted)
+    monkeypatch.setattr(arquiver, "_new_record", counted)
     A, B = linear_a(5), linear_a(5)
     ind = arquiver.indecomposables(A)
     ar = arquiver.ar_quiver(A)

@@ -6,10 +6,9 @@ import pytest
 from arglue import arquiver, replab, verifier
 from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
                          linear_a, nakayama, starlike)
-from arglue.gluing import GluingSpec, glue
-from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
-                      orbit_four_fixture, rad2_chain, random_acyclic_series,
-                      random_cyclic_series, rebased, right_ab)
+from conftest import (branched_ten, chain_four, knit_corpus, kronecker,
+                      orbit_four_fixture, rad2_chain, random_cyclic_series,
+                      rebased)
 from oracles import (eager_levels, radical_arrows, randomized_is_isomorphic,
                      translate_each)
 
@@ -121,21 +120,8 @@ def test_subcategory_adds_each_kept_module_once(monkeypatch):
     assert all(sub.locate(M) == i for i, M in enumerate(ind))
 
 
-def _knit_corpus():
-    A4, B = chain_four(), branched_ten()
-    glued = glue(GluingSpec(A4, left_ab(A4, "1"), B, right_ab(B, "3")))
-    rng = random.Random(20260823)
-    return ([rad2_chain(m) for m in (3, 4, 5)]
-            + [A4, B, fold_fixture(), orbit_four_fixture(),
-               glued.presentation]
-            + [linear_a(h) for h in range(1, 11)]
-            + [nakayama(random_acyclic_series(rng)) for _ in range(12)]
-            + [nakayama(KupischSeries(s, cyclic=True))
-               for s in ([2, 2, 3, 3, 3, 3, 2], [3, 2, 3, 2, 2, 2, 3, 4])])
-
-
 def test_knitted_ar_quiver_matches_radical_oracle():
-    for A in _knit_corpus():
+    for A in knit_corpus():
         ar = arquiver.ar_quiver(A)
         got = ([n.id for n in ar.nodes],
                [(n.is_projective, n.is_injective) for n in ar.nodes],
@@ -153,7 +139,7 @@ def test_cycle_record_matches_translating_each_uniserial():
         brick = k % 2 == 0
         A = nakayama(random_cyclic_series(rng, lmax=5, dmax=8, brick=brick))
         record = arquiver._cycle_record(A)
-        reps = record.index.reps
+        reps = record.modules()
         assert [replab.rep_to_json(X) for X in reps] == [
             replab.rep_to_json(X) for X in replab.uniserial_modules(A)]
         assert translate_each(A, reps) == (record.tau_minus,
@@ -167,7 +153,7 @@ def test_lazy_resolution_levels_match_eager_build():
     # kernels are taken only when the next level is built; the levels
     # must be those of taking every kernel with its cover, whether the
     # resolution grows at once or a level at a time
-    for A in _knit_corpus():
+    for A in knit_corpus():
         for X in arquiver.indecomposables(A):
             for M in (X, replab.dual(X)):
                 want = eager_levels(M, 4)
@@ -208,7 +194,7 @@ def test_is_representation_directed():
 
 def _all_pairs_directed(A):
     """The certificate from the full Hom table, one hom_dim per pair."""
-    reps = arquiver._complete_enumeration(A).index.reps
+    reps = arquiver._complete_enumeration(A).modules()
     n = len(reps)
     adj = {i: [] for i in range(n)}
     indeg = {i: 0 for i in range(n)}
@@ -233,7 +219,7 @@ def _all_pairs_directed(A):
 
 
 def test_directedness_matches_all_pairs_hom_table():
-    corpus = _knit_corpus()
+    corpus = knit_corpus()
     got = [arquiver.is_representation_directed(A) for A in corpus]
     assert got == [_all_pairs_directed(A) for A in corpus]
     assert sum(not ok for ok, _ in got) == 3  # the three cyclic quivers
@@ -241,13 +227,13 @@ def test_directedness_matches_all_pairs_hom_table():
 
 def test_directedness_reuses_the_enumeration(monkeypatch):
     calls = []
-    enumerate_ = arquiver._enumerate
+    new_record = arquiver._new_record
 
     def counted(A, cap=4096):
         calls.append(A)
-        return enumerate_(A, cap=cap)
+        return new_record(A, cap)
 
-    monkeypatch.setattr(arquiver, "_enumerate", counted)
+    monkeypatch.setattr(arquiver, "_new_record", counted)
     A = branched_ten()
     ind = arquiver.indecomposables(A)
     ok, detail = arquiver.is_representation_directed(A)
@@ -260,15 +246,10 @@ def test_directedness_reuses_the_enumeration(monkeypatch):
     assert calls == [A]
 
 
-def _kronecker():
-    return BoundQuiverPresentation(
-        Quiver(["0", "1"], [("x", "0", "1"), ("y", "0", "1")]), [])
-
-
 def test_kronecker_enumeration_stops_at_the_dimension_bound():
     # the preprojective component is infinite: its modules grow past any
     # dimension a representation-directed algebra allows
-    A = _kronecker()
+    A = kronecker()
     with pytest.raises(arquiver.EnumerationError, match=re.escape(
             "node 6 [7, 8] has dimension 7 at vertex 0, above the bound 6")):
         arquiver.indecomposables(A)
@@ -282,7 +263,7 @@ def test_basis_isomorphism_test_matches_the_randomized_oracle():
     # a copy of one of them in another basis; and the lookups of the
     # P(v) and I(v), each of which finds exactly one node
     rng = random.Random(20261020)
-    for A in _knit_corpus():
+    for A in knit_corpus():
         ind = arquiver.indecomposables(A)
         standard = ([replab.projective(A, v) for v in A.quiver.vertices]
                     + [replab.injective(A, v) for v in A.quiver.vertices])
