@@ -146,7 +146,6 @@ class _Record(_IsoIndex):
         self.dims = []
         self.tau_minus = []
         self.projective = {}
-        self.knitted = False
         self.cosyzygy = {}   # node -> Omega^- module, until decomposed
         self._syzygies = {"+": {}, "-": {}}   # direction -> node -> nodes
         self.arrows = None   # knitted and cycle records: {(i, j): mult}
@@ -203,13 +202,12 @@ class _Record(_IsoIndex):
         return i
 
     def locate(self, rep):
-        """Index of the node isomorphic to the indecomposable rep: on a
-        knitted record the node of its dimension vector, elsewhere found
-        up to isomorphism."""
-        if self.knitted:
-            i = self.buckets.get(rep.dim_vector(), (None,))[0]
-        else:
-            i = self.find(rep)
+        """Index of the node isomorphic to the indecomposable rep: the only
+        node of its dimension vector, or else the one found up to
+        isomorphism.  A complete record holds rep's class, so a bucket of
+        one node needs no test."""
+        bucket = self.buckets.get(rep.dim_vector(), ())
+        i = bucket[0] if len(bucket) == 1 else self.find(rep)
         if i is None:
             raise EnumerationError("indecomposable left the enumerated set "
                                    "(bug)")
@@ -351,7 +349,6 @@ def _knit_record(A, cap=ENUMERATION_CAP):
     for k, i in enumerate(order):
         new[i] = k
     record = _Record(A)
-    record.knitted = True
     record.dims = [dims[i] for i in order]
     record.reps = [None] * len(order)
     record.buckets = {dv: [k] for k, dv in enumerate(record.dims)}
@@ -400,7 +397,9 @@ def _enumerate(A, cap=ENUMERATION_CAP):
     while i < len(order):
         record.cosyzygy[i], T = replab.cosyzygy_and_translate(order[i])
         if not T.is_zero():
-            parts = replab.decompose(T)
+            # no node passes 6 at a vertex, so an oversize T is a new node
+            # that ``add`` refuses, and is not decomposed
+            parts = [T] if max(T.dim.values()) > 6 else replab.decompose(T)
             if len(parts) != 1:
                 raise EnumerationError(
                     "tau-minus image of an indecomposable split into "

@@ -75,10 +75,8 @@ def _load_modules(A, doc):
 
 
 def _load_fracturing(A, doc):
-    maxima = {"left": {ab.anchor: ab for ab in fx.abutments(A, "left")
-                       if ab.maximal},
-              "right": {ab.anchor: ab for ab in fx.abutments(A, "right")
-                        if ab.maximal}}
+    maxima = {side: fx.maximal_abutments(A, side)
+              for side in ("left", "right")}
     sides = {}
     with _malformed("fracturing"):
         for side in ("left", "right"):
@@ -217,9 +215,9 @@ def _cmd_check(args, report):
 
 
 def _pick_abutment(A, side, anchor, height=None):
-    for ab in fx.abutments(A, side):
-        if ab.anchor == anchor and (height is None or ab.height == height):
-            return ab
+    ab = fx.abutment_at(A, side, anchor)
+    if ab is not None and (height is None or ab.height == height):
+        return ab
     raise CliError(f"no {side} abutment anchored at {anchor}"
                    + (f" of height {height}" if height else ""))
 
@@ -243,14 +241,11 @@ def _cmd_glue(args, report):
                 p_anchor, i_anchor = token.split(":")
             except ValueError:
                 raise CliError(f"bad pair token {token!r}; use P:I")
-            side_a = [ab for ab in fx.abutments(A, "left")
-                      if ab.anchor == p_anchor]
-            side_b = [ab for ab in fx.abutments(B, "left")
-                      if ab.anchor == p_anchor]
-            P = min(side_a or side_b, key=lambda ab: ab.height, default=None)
+            P, alg_i = fx.abutment_at(A, "left", p_anchor), B
+            if P is None:
+                P, alg_i = fx.abutment_at(B, "left", p_anchor), A
             if P is None:
                 raise CliError(f"no left abutment anchored at {p_anchor}")
-            alg_i = B if side_a else A
             I = _pick_abutment(alg_i, "right", i_anchor, P.height)
             pairs.append((P, I))
         glued = selfglue.simultaneous_glue(A, B, pairs, mode=args.mode)

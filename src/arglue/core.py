@@ -190,26 +190,6 @@ class BoundQuiverPresentation:
         }
 
 
-class PathBasis:
-    """Surviving paths grouped by (source, target) vertex pair."""
-
-    def __init__(self, presentation):
-        self.presentation = presentation
-        self.by_pair = {}
-        for i, j, p in presentation.all_paths():
-            self.by_pair.setdefault((i, j), []).append(p)
-        for lst in self.by_pair.values():
-            lst.sort(key=lambda p: (len(p), p))
-        self.dimension = presentation.dimension()
-
-    def paths(self, i, j):
-        return self.by_pair.get((i, j), [])
-
-
-def path_basis(presentation):
-    return PathBasis(presentation)
-
-
 def rename_presentation(presentation, vertex_map, arrow_map=None):
     """Relabel vertices (and optionally arrows); structure is unchanged."""
     q = presentation.quiver

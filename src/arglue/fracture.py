@@ -63,27 +63,45 @@ def _left_tail_from(A, v):
 
 
 def abutments(A, side):
-    """All abutments of one side, with maximality flags."""
-    if side == "right":
-        op = replab.op_algebra(A)
-        outs = abutments(op, "left")
-        result = []
-        for ab in outs:
-            tail = list(reversed(ab.tail))
-            result.append(Abutment("right", tail[-1], tail, ab.maximal))
-        return result
-    if side != "left":
+    """All abutments of one side in anchor order, with maximality flags:
+    one tuple per algebra and side, built once and shared by every
+    caller, so nothing may change its abutments."""
+    return _table(A, side)[0]
+
+
+def abutment_at(A, side, anchor):
+    """The abutment of that side anchored at vertex ``anchor``, or None;
+    a vertex anchors at most one abutment per side."""
+    return _table(A, side)[1].get(anchor)
+
+
+def maximal_abutments(A, side):
+    """{anchor: abutment} of the maximal abutments of that side."""
+    return {ab.anchor: ab for ab in abutments(A, side) if ab.maximal}
+
+
+def _table(A, side):
+    """(abutments in anchor order, {anchor: abutment}) of one side, kept
+    on A.  A right abutment of A is a left one of its opposite algebra,
+    read backwards, so each side's tails are walked once."""
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    found = []
-    for v in sorted(A.quiver.vertices):
-        tail = _left_tail_from(A, v)
-        if tail is not None:
-            found.append(Abutment("left", v, tail))
-    for ab in found:
-        ab.maximal = not any(
-            other is not ab and ab.support() < other.support()
-            for other in found)
-    return found
+
+    def build():
+        if side == "right":
+            found = tuple(Abutment("right", ab.anchor, ab.tail[::-1],
+                                   ab.maximal)
+                          for ab in abutments(replab.op_algebra(A), "left"))
+        else:
+            tails = [_left_tail_from(A, v) for v in sorted(A.quiver.vertices)]
+            tails = [t for t in tails if t is not None]
+            supports = [frozenset(t) for t in tails]
+            found = tuple(Abutment("left", t[0], t,
+                                   not any(s < other for other in supports))
+                          for t, s in zip(tails, supports))
+        return found, {ab.anchor: ab for ab in found}
+
+    return replab._memo(A, ("abutments", side), build)
 
 
 def independent(abutment_list):
@@ -234,8 +252,8 @@ class Fracturing:
         self.algebra = A
         self.left = dict(left)    # anchor vertex -> IntervalSet
         self.right = dict(right)
-        maxleft = {ab.anchor: ab for ab in abutments(A, "left") if ab.maximal}
-        maxright = {ab.anchor: ab for ab in abutments(A, "right") if ab.maximal}
+        maxleft = maximal_abutments(A, "left")
+        maxright = maximal_abutments(A, "right")
         for anchors, given, side in ((maxleft, self.left, "left"),
                                      (maxright, self.right, "right")):
             if set(anchors) != set(given):
@@ -255,10 +273,10 @@ class Fracturing:
 
 def trivial_fracturing(A):
     """(Lambda, D(Lambda)): projective left fractures, injective right ones."""
-    left = {ab.anchor: projective_intervals(ab.height)
-            for ab in abutments(A, "left") if ab.maximal}
-    right = {ab.anchor: injective_intervals(ab.height)
-             for ab in abutments(A, "right") if ab.maximal}
+    left = {anchor: projective_intervals(ab.height)
+            for anchor, ab in maximal_abutments(A, "left").items()}
+    right = {anchor: injective_intervals(ab.height)
+             for anchor, ab in maximal_abutments(A, "right").items()}
     return Fracturing(A, left, right)
 
 

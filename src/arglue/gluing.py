@@ -15,9 +15,9 @@ class GluingSpec:
         if P.height != I.height:
             raise AlgebraError(
                 f"height mismatch: {P.height} vs {I.height}")
-        if not any(ab == P for ab in fx.abutments(A, "left")):
+        if fx.abutment_at(A, "left", P.anchor) != P:
             raise AlgebraError(f"{P} is not an abutment of the first algebra")
-        if not any(ab == I for ab in fx.abutments(B, "right")):
+        if fx.abutment_at(B, "right", I.anchor) != I:
             raise AlgebraError(f"{I} is not an abutment of the second algebra")
         self.A, self.P, self.B, self.I = A, P, B, I
 
@@ -225,10 +225,10 @@ def glue_fracturings(frA, frB, glued):
     if why is not None:
         raise AlgebraError(f"compatibility fails: {why}")
     L = glued.presentation
-    left = {ab.anchor: _transport_fracture(ab, glued, frA, frB)
-            for ab in fx.abutments(L, "left") if ab.maximal}
-    right = {ab.anchor: _transport_fracture(ab, glued, frA, frB)
-             for ab in fx.abutments(L, "right") if ab.maximal}
+    left = {anchor: _transport_fracture(ab, glued, frA, frB)
+            for anchor, ab in fx.maximal_abutments(L, "left").items()}
+    right = {anchor: _transport_fracture(ab, glued, frA, frB)
+             for anchor, ab in fx.maximal_abutments(L, "right").items()}
     return fx.Fracturing(L, left, right)
 
 
@@ -295,11 +295,11 @@ class GluingSystemSpec:
                     f"outgoing abutments at {w} are not independent")
 
     def _abutment(self, tv, anchor, side):
-        for ab in fx.abutments(self.algebras[tv], side):
-            if ab.anchor == anchor:
-                return ab
-        raise AlgebraError(f"no {side} abutment anchored at {anchor} "
-                           f"in the algebra at tree vertex {tv}")
+        ab = fx.abutment_at(self.algebras[tv], side, anchor)
+        if ab is None:
+            raise AlgebraError(f"no {side} abutment anchored at {anchor} "
+                               f"in the algebra at tree vertex {tv}")
+        return ab
 
 
 class _Component:
@@ -320,12 +320,8 @@ def _fold(sys, edges, prefix_fn):
              for tv in sys.tree_vertices}
     for u, v, i_anchor, p_anchor in edges:
         cu, cv = comps[u], comps[v]
-        ia = cu.vmaps[u][i_anchor]
-        pa = cv.vmaps[v][p_anchor]
-        I = next(ab for ab in fx.abutments(cu.algebra, "right")
-                 if ab.anchor == ia)
-        P = next(ab for ab in fx.abutments(cv.algebra, "left")
-                 if ab.anchor == pa)
+        I = fx.abutment_at(cu.algebra, "right", cu.vmaps[u][i_anchor])
+        P = fx.abutment_at(cv.algebra, "left", cv.vmaps[v][p_anchor])
         glued = glue(GluingSpec(cv.algebra, P, cu.algebra, I))
         merged = _Component.__new__(_Component)
         merged.members = cu.members | cv.members

@@ -250,18 +250,6 @@ def _injective(A, v):
     return _paths_rep(A, basis, step)[0]
 
 
-def standard_module(A, vertex, kind):
-    if vertex not in A.quiver.vertex_pos:
-        raise ValueError(f"unknown vertex {vertex}")
-    if kind == "projective":
-        return projective(A, vertex)
-    if kind == "injective":
-        return injective(A, vertex)
-    if kind == "simple":
-        return simple(A, vertex)
-    raise ValueError(f"unknown kind {kind}")
-
-
 def dual(M):
     """Standard duality: a module over the opposite presentation."""
     B = op_algebra(M.algebra)

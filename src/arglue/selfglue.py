@@ -31,18 +31,6 @@ class SelfGlueWitness:
                 f"W={self.W.tail}, J={self.J.tail})")
 
 
-def _sub_left(W):
-    """Left sub-abutments of W: the suffix tails, tallest first."""
-    return [fx.Abutment("left", W.tail[k], W.tail[k:])
-            for k in range(len(W.tail))]
-
-
-def _sub_right(J):
-    """Right sub-abutments of J: the prefix tails, tallest first."""
-    return [fx.Abutment("right", J.tail[m - 1], J.tail[:m])
-            for m in range(len(J.tail), 0, -1)]
-
-
 def self_glue_witness(A, fr):
     """First witness making (A, fr) self-gluable, or (None, reasons).
 
@@ -68,8 +56,11 @@ def self_glue_witness(A, fr):
                        "non-injective fracture")
     for W in cand_W:
         for J in cand_J:
-            for P in _sub_left(W):
-                for I in _sub_right(J):
+            # the sub-abutments, tallest first: a left tail runs to a
+            # sink, so the one anchored at a vertex of W.tail is its suffix
+            for P in (fx.abutment_at(A, "left", v) for v in W.tail):
+                for I in (fx.abutment_at(A, "right", v)
+                          for v in reversed(J.tail)):
                     if P.height != I.height:
                         continue
                     ok, why = fx.compatible_pair(fr, W, J, P, I)

@@ -177,15 +177,11 @@ def check_nct(A, M, n, indecs=None):
     # maximality: every excluded indecomposable has nonzero Ext into M
     # and nonzero Ext from M, in some degree 0 < i < n
     tops_at = {}  # vertex -> (k, i) with the vertex a top of P_i(members[k])
-    capped = []   # (k, i) where members[k]'s resolution exceeds its cap
+    # rigidity read each member's resolution through degree n - 1, or
+    # raised ResolutionCapError, so none of these exceeds its cap
     for k, Y in enumerate(members):
         for i in range(1, n):
-            try:
-                tops = replab.resolution_tops(Y, i)
-            except replab.ResolutionCapError:
-                capped.append((k, i))
-                break
-            for v in tops:
+            for v in replab.resolution_tops(Y, i):
                 tops_at.setdefault(v, []).append((k, i))
     maximal = True
     for X in indecs:
@@ -193,9 +189,7 @@ def check_nct(A, M, n, indecs=None):
             continue
         into = any(replab.ext_dim(X, members[k], i)
                    for k, i in _pairs_into(X, n, members_at, first))
-        pairs = set(capped)
-        for v in X.support():
-            pairs.update(tops_at.get(v, ()))
+        pairs = {kv for v in X.support() for kv in tops_at.get(v, ())}
         outof = any(replab.ext_dim(members[k], X, i)
                     for k, i in sorted(pairs))
         if not (into and outof):
@@ -217,9 +211,9 @@ def _side_class(A, fr, side):
     """Representatives of one side's comparison class: the projectives
     (left side) or injectives (right side) at the vertices that anchor no
     abutment of that side, plus the interval modules of its fractures."""
-    anchors = {ab.anchor for ab in fx.abutments(A, side)}
     end = replab.projective if side == "left" else replab.injective
-    mods = [end(A, v) for v in sorted(A.quiver.vertices) if v not in anchors]
+    mods = [end(A, v) for v in sorted(A.quiver.vertices)
+            if fx.abutment_at(A, side, v) is None]
     fractures, maxima = ((fr.left, fr.max_left) if side == "left"
                          else (fr.right, fr.max_right))
     for anchor, T in sorted(fractures.items()):

@@ -258,6 +258,27 @@ def test_kronecker_enumeration_stops_at_the_dimension_bound():
     assert not ok and "above the bound 6" in detail["reason"]
 
 
+def test_oversize_translate_is_refused_before_decompose(monkeypatch):
+    # four arrows 1 -> 2 and one 2 -> 0: the sixth translate is 32 at
+    # vertex 0, refused from its dimension vector alone
+    A = BoundQuiverPresentation(Quiver([str(i) for i in range(5)], [
+        ("a0", "1", "2"), ("a1", "1", "2"), ("a2", "2", "0"),
+        ("a3", "1", "2"), ("a4", "1", "2")]), [("a0", "a2")])
+    seen = []
+    decompose = replab.decompose
+
+    def recorded(M):
+        seen.append(max(M.dim.values(), default=0))
+        return decompose(M)
+
+    monkeypatch.setattr(replab, "decompose", recorded)
+    with pytest.raises(arquiver.EnumerationError, match=re.escape(
+            "node 6 [32, 12, 47, 0, 0] has dimension 32 at vertex 0, above "
+            "the bound 6 for representation-directed algebras")):
+        arquiver._enumerate(A)
+    assert seen and max(seen) <= 6
+
+
 def test_basis_isomorphism_test_matches_the_randomized_oracle():
     # each node against every node of its dimension vector, and against
     # a copy of one of them in another basis; and the lookups of the

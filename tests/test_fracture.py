@@ -3,11 +3,12 @@ import pytest
 from arglue import arquiver
 from arglue import fracture as fx
 from arglue.core import (AlgebraError, KupischSeries, linear_a, nakayama,
-                         starlike)
+                         parse_algebra, starlike)
 from arglue.gluing import GluingSpec, glue
-from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
-                      orbit_four_fixture, rad2_chain, random_acyclic_series,
-                      right_ab)
+from arglue.selfglue import self_glue_witness
+from conftest import (branched_ten, chain_four, fold_fixture, knit_corpus,
+                      left_ab, orbit_four_fixture, rad2_chain,
+                      random_acyclic_series, right_ab)
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 
@@ -160,7 +161,7 @@ def _whole_chain_walk(A, v):
     return tail
 
 
-def test_abutments_match_whole_chain_walk(rng, monkeypatch):
+def _chain_walk_algebras(rng):
     algebras = [nakayama(KupischSeries([2, 2, 1])), chain_four(),
                 branched_ten(), fold_fixture(), orbit_four_fixture()]
     algebras += [rad2_chain(m) for m in (3, 4, 5)]
@@ -176,12 +177,68 @@ def test_abutments_match_whole_chain_walk(rng, monkeypatch):
         I = next(ab for ab in fx.abutments(H, "right")
                  if ab.height == P.height)
         algebras.append(glue(GluingSpec(A, P, H, I)).presentation)
+    return algebras
+
+
+def test_abutments_match_whole_chain_walk(rng, monkeypatch):
+    algebras = _chain_walk_algebras(rng)
 
     def view(A, side):
         return [(ab.side, ab.anchor, ab.tail, ab.maximal)
                 for ab in fx.abutments(A, side)]
 
     got = [view(A, side) for A in algebras for side in ("left", "right")]
+    # the tables are kept on their algebras: the oracle reads copies
+    fresh = [parse_algebra(A.to_json()) for A in algebras]
     monkeypatch.setattr(fx, "_left_tail_from", _whole_chain_walk)
-    want = [view(A, side) for A in algebras for side in ("left", "right")]
+    want = [view(A, side) for A in fresh for side in ("left", "right")]
     assert got == want
+
+
+def test_sub_abutments_are_table_entries(rng):
+    # the suffixes of a left tail and the prefixes of a right one, tallest
+    # first, are the abutments anchored along it
+    for A in knit_corpus() + _chain_walk_algebras(rng):
+        for W in fx.abutments(A, "left"):
+            subs = [fx.abutment_at(A, "left", v) for v in W.tail]
+            assert [(P.anchor, P.tail) for P in subs] == [
+                (W.tail[k], W.tail[k:]) for k in range(W.height)]
+        for J in fx.abutments(A, "right"):
+            subs = [fx.abutment_at(A, "right", v) for v in reversed(J.tail)]
+            assert [(I.anchor, I.tail) for I in subs] == [
+                (J.tail[m - 1], J.tail[:m]) for m in range(J.height, 0, -1)]
+
+
+def test_abutment_table_is_walked_once_per_vertex(monkeypatch):
+    walks = []
+    walk = fx._left_tail_from
+
+    def counted(A, v):
+        walks.append((A, v))
+        return walk(A, v)
+
+    monkeypatch.setattr(fx, "_left_tail_from", counted)
+    for A in (nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2, 1])),
+              fold_fixture(), branched_ten()):
+        fr = fx.trivial_fracturing(A)
+        fx.Fracturing(A, fr.left, fr.right)
+        self_glue_witness(A, fr)
+        P = next(iter(fx.maximal_abutments(A, "left").values()))
+        H = linear_a(P.height)
+        GluingSpec(A, P, H, fx.abutment_at(H, "right", str(P.height)))
+        for side in ("left", "right"):
+            assert fx.abutments(A, side) is fx.abutments(A, side)
+            assert fx.maximal_abutments(A, side) == {
+                ab.anchor: ab for ab in fx.abutments(A, side) if ab.maximal}
+    # the walks of a right side run on the opposite algebra
+    keys = [(id(A), v) for A, v in walks]
+    assert walks and len(keys) == len(set(keys))
+
+
+def test_abutment_at_reads_the_table(B):
+    assert fx.abutment_at(B, "left", "5").tail == ["5", "6", "7"]
+    assert fx.abutment_at(B, "left", "1") is None
+    assert fx.abutment_at(B, "right", "3p").maximal
+    assert set(fx.maximal_abutments(B, "right")) == {"3", "3p"}
+    with pytest.raises(ValueError, match="side must be"):
+        fx.abutment_at(B, "up", "5")

@@ -204,9 +204,9 @@ def _ext_sweep_cases():
         yield B, Subcategory(B, arquiver.indecomposables(B)), 2
     L, M = generate_sinks_sources(2, 2, 2)
     for B, cand, n in ((K, tau_orbit_candidate(K, 3), 3), (L, M, 2)):
-        ends = Subcategory(B, [replab.standard_module(B, v, kind)
-                               for v in B.quiver.vertices
-                               for kind in ("projective", "injective")])
+        ends = Subcategory(B, [end(B, v) for v in B.quiver.vertices
+                               for end in (replab.projective,
+                                           replab.injective)])
         drop = next(X for X in cand.modules if not ends.contains(X))
         yield B, Subcategory(B, [X for X in cand.modules
                                  if X is not drop]), n
