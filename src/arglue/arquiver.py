@@ -37,7 +37,21 @@ node already built; on a cycle written down with the record), and tau,
 the inverse of the tau-minus record.  As Omega^-, Omega, tau^- and tau
 are additive, tau_n^- of a node is tau^- summand by summand after n - 1
 steps of Omega^-, and tau_n likewise from Omega and tau.
+
+A knitted record also answers dim Hom and dim Ext between nodes in
+integers, with no module built.  Each AR sequence tau Z -> E -> Z gives
+an exact sequence of functors, so along the knit order h(X, Z) = dim
+Hom(X, Z) = sum over Y -> Z of m h(X, Y) - h(X, tau Z) + [Z = X], with
+no tau term at a P(v) (Ringel-Vossieck, Hammocks, Proc. LMS 54, 1987;
+Elements Vol. 1, IV.4).  From 0 -> Omega Z -> P(top Z) -> Z -> 0,
+Ext^1(Z, Y) = h(Omega Z, Y) - sum over v of h(Z, S(v)) dim Y_v + h(Z, Y),
+and Ext^i(X, Y) is Ext^1 of Omega^(i-1) X.  At radical square zero Omega
+has a closed form in simples; elsewhere it is the Omega table.  Cycle and
+``_enumerate`` records have no Hom table, and their callers compute from
+the modules.
 """
+
+import heapq
 
 from . import replab
 
@@ -149,8 +163,16 @@ class _Record(_IsoIndex):
         self.cosyzygy = {}   # node -> Omega^- module, until decomposed
         self._syzygies = {"+": {}, "-": {}}   # direction -> node -> nodes
         self.arrows = None   # knitted and cycle records: {(i, j): mult}
+        self.rank = None     # knitted: node -> position in knit order
         self._tau = None
         self._matched = {}   # id(module) -> (module, node) for ``match``
+        self._hom = {}       # knitted: node -> Hom table row
+        self._omega = {}     # node -> {node: multiplicity} of Omega
+        self._quiver = None  # knitted: (arrows into, arrows out of) a node
+        self._tops = {}      # knitted: node -> its top
+        self._simples = None
+        self._injectives = None
+        self._rad_square_zero = None
 
     def add(self, rep):
         self.dims.append(rep.dim_vector())
@@ -248,6 +270,160 @@ class _Record(_IsoIndex):
                     "tau image left the enumerated set (bug)")
             self._tau = tau
         return self._tau
+
+    @property
+    def knitted(self):
+        """Made by ``_knit_record``."""
+        return self.rank is not None
+
+    # -- integer Hom and Ext on a knitted record -------------------------
+
+    def _arrow_lists(self):
+        """Per node, the (source, multiplicity) of each arrow into it and
+        the target of each arrow out of it."""
+        if self._quiver is None:
+            n = len(self.dims)
+            into, out = [[] for _ in range(n)], [[] for _ in range(n)]
+            for (i, j), m in self.arrows.items():
+                into[j].append((i, m))
+                out[i].append(j)
+            self._quiver = into, out
+        return self._quiver
+
+    def hom(self, x):
+        """{z: dim Hom(node x, node z)} over the z where it is non-zero,
+        on a knitted record; kept once read.
+
+        An AR sequence 0 -> tau Z -> E -> Z -> 0 gives the exact sequence
+        of functors 0 -> Hom(-, tau Z) -> Hom(-, E) -> Hom(-, Z) whose
+        cokernel is the simple functor at Z, and rad P(v) -> P(v) does the
+        same without the tau term; so along the knit order, which is
+        topological, h(X, Z) = sum over Y -> Z of m h(X, Y) - h(X, tau Z)
+        + [Z = X] (Ringel-Vossieck, Hammocks; Elements Vol. 1, IV.4).  In
+        a directed algebra Hom(X, Z) = 0 unless Z comes after X, and a node
+        with no non-zero predecessor has h = 0, so only the successors of
+        non-zero entries are visited, in knit order."""
+        row = self._hom.get(x)
+        if row is None:
+            into, out = self._arrow_lists()
+            tau, rank = self.tau(), self.rank
+            row = {x: 1}
+            queued = set(out[x])
+            heap = [(rank[z], z) for z in queued]
+            heapq.heapify(heap)
+            while heap:
+                z = heapq.heappop(heap)[1]
+                # tau[z] is None for a P(v), and reads 0
+                h = sum(m * row.get(y, 0) for y, m in into[z]) \
+                    - row.get(tau[z], 0)
+                if h:
+                    row[z] = h
+                    for w in out[z]:
+                        if w not in queued:
+                            queued.add(w)
+                            heapq.heappush(heap, (rank[w], w))
+            self._hom[x] = row
+        return row
+
+    def _simple_nodes(self):
+        """The node of each simple S(v), in quiver vertex order."""
+        if self._simples is None:
+            width = len(self.algebra.quiver.vertices)
+            self._simples = [
+                self.buckets[tuple(int(k == v) for k in range(width))][0]
+                for v in range(width)]
+        return self._simples
+
+    def top(self, x):
+        """{vertex position: dim Hom(node x, S(v))}, the top of node x,
+        over its non-zero entries; kept once read."""
+        top = self._tops.get(x)
+        if top is None:
+            row = self.hom(x)
+            top = self._tops[x] = {v: row[s] for v, s in
+                                   enumerate(self._simple_nodes()) if s in row}
+        return top
+
+    def injective_node(self, v):
+        """The node of I(v) on a knitted record: dim I(v) at w counts the
+        paths w -> v, as dim P(w) at v does."""
+        if self._injectives is None:
+            vertices = self.algebra.quiver.vertices
+            cartan = [self.dims[self.projective[w]] for w in vertices]
+            self._injectives = {v: self.buckets[column][0] for v, column in
+                                zip(vertices, zip(*cartan))}
+        return self._injectives[v]
+
+    def omega(self, x):
+        """{node: multiplicity} of the summands of Omega of node x.
+
+        At radical square zero (no relation-free path of length 2) Omega X
+        lies in rad P(top X), which is semisimple, so Omega X is the sum of
+        S(w)^d_w with d = sum over v of h(X, S(v)) dim P(v) - dim X; else
+        the ``syzygy`` table, whose summand order the orbit candidate reads
+        and which is therefore not written here."""
+        counts = self._omega.get(x)
+        if counts is None:
+            counts = {}
+            if self.tau()[x] is None:
+                pass   # Omega P(v) = 0
+            elif self._square_zero():
+                d = [-k for k in self.dims[x]]
+                vertices = self.algebra.quiver.vertices
+                for v, t in self.top(x).items():
+                    for k, p in enumerate(self.dims[
+                            self.projective[vertices[v]]]):
+                        d[k] += t * p
+                counts = {s: c for s, c in zip(self._simple_nodes(), d) if c}
+            else:
+                for j in self.syzygy(x, "+"):
+                    counts[j] = counts.get(j, 0) + 1
+            self._omega[x] = counts
+        return counts
+
+    def _square_zero(self):
+        if self._rad_square_zero is None:
+            self._rad_square_zero = all(
+                len(p) < 2 for _, _, p in self.algebra.all_paths())
+        return self._rad_square_zero
+
+    def shift(self, counts):
+        """Omega of the sum of ``counts`` ({node: multiplicity}), as
+        counts."""
+        out = {}
+        for z, c in counts.items():
+            for w, m in self.omega(z).items():
+                out[w] = out.get(w, 0) + c * m
+        return out
+
+    def ext1_form(self, counts):
+        """(a, t) with dim Ext^1(Z, Y) = sum over nodes W of a[W] h(W, Y)
+        - sum over vertex positions v of t[v] dim Y_v, for Z the sum of
+        ``counts``.
+
+        Hom(-, Y) on 0 -> Omega Z -> P(top Z) -> Z -> 0 leaves
+        Ext^1(Z, Y) = h(Omega Z, Y) - dim Hom(P(top Z), Y) + h(Z, Y), and
+        dim Hom(P(v), Y) = dim Y_v."""
+        a = dict(counts)
+        for w, m in self.shift(counts).items():
+            a[w] = a.get(w, 0) + m
+        t = {}
+        for z, c in counts.items():
+            for v, s in self.top(z).items():
+                t[v] = t.get(v, 0) + c * s
+        return a, t
+
+    def ext(self, x, y, i):
+        """dim Ext^i(node x, node y), i >= 1, on a knitted record: Ext^1 of
+        Omega^(i-1) X, as the terms of a projective resolution have no
+        Ext."""
+        counts = {x: 1}
+        for _ in range(i - 1):
+            counts = self.shift(counts)
+        a, t = self.ext1_form(counts)
+        dy = self.dims[y]
+        return (sum(m * self.hom(w).get(y, 0) for w, m in a.items())
+                - sum(s * dy[v] for v, s in t.items()))
 
 
 def _knit_record(A, cap=ENUMERATION_CAP):
@@ -349,6 +525,7 @@ def _knit_record(A, cap=ENUMERATION_CAP):
     for k, i in enumerate(order):
         new[i] = k
     record = _Record(A)
+    record.rank = order
     record.dims = [dims[i] for i in order]
     record.reps = [None] * len(order)
     record.buckets = {dv: [k] for k, dv in enumerate(record.dims)}
@@ -597,25 +774,21 @@ def verify_mesh_identity(ar):
 def is_representation_directed(A):
     """(verdict, certificate) from A's record: a topological order of the
     Hom digraph when True, else the reason, an EnumerationError or
-    DecompositionError message or a Hom cycle with its members."""
+    DecompositionError message or a Hom cycle with its members.
+
+    On a knitted record the digraph is read off the Hom table; on a cycle
+    or ``_enumerate`` record, whose AR quiver need not be acyclic, it is
+    computed by ``hom_dim`` between node modules."""
     try:
-        reps = _complete_enumeration(A).modules()
+        record = _complete_enumeration(A)
+        adj = _hom_successors(record)
     except (EnumerationError, replab.DecompositionError) as e:
         return False, {"reason": str(e)}
-    n = len(reps)
-    at = {}  # vertex -> indices of the modules non-zero there
-    for j, rep in enumerate(reps):
-        for v in rep.support():
-            at.setdefault(v, []).append(j)
-    adj = {i: [] for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for i in range(n):
-        # Hom(reps[i], N) = 0 unless N is non-zero at a top of reps[i]
-        tops = replab.resolution_tops(reps[i], 0)
-        for j in sorted({j for v in tops for j in at.get(v, ())}):
-            if i != j and replab.hom_dim(reps[i], reps[j]):
-                adj[i].append(j)
-                indeg[j] += 1
+    n = len(adj)
+    indeg = [0] * n
+    for succ in adj:
+        for j in succ:
+            indeg[j] += 1
     queue = [i for i in range(n) if indeg[i] == 0]
     topo = []
     while queue:
@@ -629,6 +802,25 @@ def is_representation_directed(A):
         return True, {"order": topo, "count": n}
     return False, {"reason": "Hom digraph has a cycle",
                    "cycle_members": [i for i in range(n) if indeg[i] > 0]}
+
+
+def _hom_successors(record):
+    """Per node i, the nodes j != i with Hom(i, j) != 0, ascending."""
+    if record.knitted:
+        return [sorted(j for j in record.hom(i) if j != i)
+                for i in range(len(record.dims))]
+    reps = record.modules()
+    at = {}  # vertex -> indices of the modules non-zero there
+    for j, rep in enumerate(reps):
+        for v in rep.support():
+            at.setdefault(v, []).append(j)
+    adj = []
+    for i, rep in enumerate(reps):
+        # Hom(rep, N) = 0 unless N is non-zero at a top of rep
+        tops = replab.resolution_tops(rep, 0)
+        adj.append([j for j in sorted({j for v in tops for j in at.get(v, ())})
+                    if i != j and replab.hom_dim(rep, reps[j])])
+    return adj
 
 
 def to_dot(ar):

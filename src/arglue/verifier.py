@@ -43,7 +43,11 @@ class VerificationReport:
         self.conditions.append((name, bool(ok), detail))
 
     def witness(self, condition, description, rep=None):
-        dv = list(rep.dim_vector()) if rep is not None else None
+        """Name a counterexample by its dimension vector: rep is the
+        module, or its dimension vector as a tuple."""
+        if rep is not None and not isinstance(rep, tuple):
+            rep = rep.dim_vector()
+        dv = list(rep) if rep is not None else None
         self.counterexamples.append((condition, description, dv))
 
     def fail(self, condition, description, rep):
@@ -120,7 +124,74 @@ def _pairs_into(X, n, members_at, first):
 def check_nct(A, M, n, indecs=None):
     """Direct Ext-orthogonality check that add(M) is n-cluster tilting.
     The conditions after a failing one are not checked, and rigidity and
-    maximality name only their first witness.
+    maximality name only their first witness, the first (member, degree)
+    pair in order with non-zero Ext.
+
+    On A's knitted record the check reads integer Hom and Ext tables
+    (``_NodeExt``); elsewhere it computes Ext from the modules'
+    resolutions (``_ModuleExt``).  Both give the same report.
+    """
+    report = VerificationReport("n-cluster-tilting", n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    on = _NodeExt.of(A, M, n, indecs) or _ModuleExt(A, M, n, indecs)
+    members, indecs = on.members, on.indecs
+    if n == 1:
+        ok = len(indecs) == len(members) and all(map(on.contains, indecs))
+        report.record("whole-category", ok,
+                      f"|M| = {len(members)}, |ind| = {len(indecs)}")
+        if not ok:
+            report.witness("whole-category",
+                           "M differs from the full indecomposable list")
+        return report
+    # cheap pre-checks: projectives and injectives always belong
+    missing = []
+    for v in sorted(A.quiver.vertices):
+        for kind, X in (("projective", on.projective(v)),
+                        ("injective", on.injective(v))):
+            if not on.contains(X):
+                missing.append((kind, v))
+                report.witness("proj-inj-membership",
+                               f"{kind} at vertex {v} not in M", on.dims(X))
+    report.record("proj-inj-membership", not missing,
+                  f"{len(missing)} missing" if missing else "all present")
+    if missing:
+        return report
+    # rigidity: Ext^{1..n-1}(M, M) = 0
+    for X in members:
+        hit = on.rigidity_witness(X)
+        if hit is not None:
+            k, i = hit
+            return report.fail(
+                "rigidity",
+                f"Ext^{i} nonzero between members "
+                f"{on.dims(X)} -> {on.dims(members[k])}", on.dims(X))
+    report.record("rigidity", True)
+    # maximality: every excluded indecomposable has nonzero Ext into M
+    # and nonzero Ext from M, in some degree 0 < i < n
+    maximal = True
+    for X in indecs:
+        if on.contains(X):
+            continue
+        into, outof = on.ext_into(X), on.ext_from(X)
+        if not (into and outof):
+            maximal = False
+            side = [] if into else ["Ext(X, M) = 0"]
+            if not outof:
+                side.append("Ext(M, X) = 0")
+            report.witness("maximality",
+                           f"excluded module violates {' and '.join(side)}",
+                           on.dims(X))
+            break
+    report.record("maximality", maximal)
+    report.record("functorial-finiteness", True,
+                  "automatic for representation-finite algebras")
+    return report
+
+
+class _ModuleExt:
+    """The reads of ``check_nct`` on modules: membership up to isomorphism,
+    and Ext from the minimal projective resolutions.
 
     Ext^i(X, Y) is a subquotient of Hom(P_i, Y), where P_i is the i-th
     term of the minimal projective resolution of X, so it vanishes unless
@@ -131,80 +202,158 @@ def check_nct(A, M, n, indecs=None):
     that sweep would first reach it, so ``ResolutionCapError`` surfaces
     as it would there.
     """
-    report = VerificationReport("n-cluster-tilting", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if indecs is None:
-        indecs = arquiver.indecomposables(A)
-    if n == 1:
-        ok = len(indecs) == len(M) and all(M.contains(X) for X in indecs)
-        report.record("whole-category", ok,
-                      f"|M| = {len(M)}, |ind| = {len(indecs)}")
-        if not ok:
-            report.witness("whole-category",
-                           "M differs from the full indecomposable list")
-        return report
-    # cheap pre-checks: projectives and injectives always belong
-    missing = []
-    for v in sorted(A.quiver.vertices):
-        for kind, mod in (("projective", replab.projective(A, v)),
-                          ("injective", replab.injective(A, v))):
-            if not M.contains(mod):
-                missing.append((kind, v))
-                report.witness("proj-inj-membership",
-                               f"{kind} at vertex {v} not in M", mod)
-    report.record("proj-inj-membership", not missing,
-                  f"{len(missing)} missing" if missing else "all present")
-    if missing:
-        return report
-    members = M.modules
-    members_at = {}  # vertex -> indices of the members non-zero there
-    for k, Y in enumerate(members):
-        for v in Y.support():
-            members_at.setdefault(v, []).append(k)
-    first = next((k for k, Y in enumerate(members) if not Y.is_zero()), None)
-    # rigidity: Ext^{1..n-1}(M, M) = 0
-    for X in members:
-        hit = next(((k, i) for k, i in _pairs_into(X, n, members_at, first)
-                    if replab.ext_dim(X, members[k], i)), None)
-        if hit is not None:
-            k, i = hit
-            return report.fail(
-                "rigidity",
-                f"Ext^{i} nonzero between members "
-                f"{X.dim_vector()} -> {members[k].dim_vector()}", X)
-    report.record("rigidity", True)
-    # maximality: every excluded indecomposable has nonzero Ext into M
-    # and nonzero Ext from M, in some degree 0 < i < n
-    tops_at = {}  # vertex -> (k, i) with the vertex a top of P_i(members[k])
-    # rigidity read each member's resolution through degree n - 1, or
-    # raised ResolutionCapError, so none of these exceeds its cap
-    for k, Y in enumerate(members):
-        for i in range(1, n):
-            for v in replab.resolution_tops(Y, i):
-                tops_at.setdefault(v, []).append((k, i))
-    maximal = True
-    for X in indecs:
-        if M.contains(X):
-            continue
-        into = any(replab.ext_dim(X, members[k], i)
-                   for k, i in _pairs_into(X, n, members_at, first))
-        pairs = {kv for v in X.support() for kv in tops_at.get(v, ())}
-        outof = any(replab.ext_dim(members[k], X, i)
-                    for k, i in sorted(pairs))
-        if not (into and outof):
-            maximal = False
-            side = [] if into else ["Ext(X, M) = 0"]
-            if not outof:
-                side.append("Ext(M, X) = 0")
-            report.witness("maximality",
-                           f"excluded module violates {' and '.join(side)}",
-                           X)
-            break
-    report.record("maximality", maximal)
-    report.record("functorial-finiteness", True,
-                  "automatic for representation-finite algebras")
-    return report
+
+    def __init__(self, A, M, n, indecs):
+        self.A, self.n = A, n
+        self.members = M.modules
+        self.indecs = (arquiver.indecomposables(A) if indecs is None
+                       else indecs)
+        self.contains = M.contains
+        self.members_at = {}   # vertex -> indices of the members there
+        for k, Y in enumerate(self.members):
+            for v in Y.support():
+                self.members_at.setdefault(v, []).append(k)
+        self.first = next((k for k, Y in enumerate(self.members)
+                           if not Y.is_zero()), None)
+        self.tops_at = None
+
+    @staticmethod
+    def dims(X):
+        return X.dim_vector()
+
+    def projective(self, v):
+        return replab.projective(self.A, v)
+
+    def injective(self, v):
+        return replab.injective(self.A, v)
+
+    def _into(self, X):
+        return ((k, i) for k, i in _pairs_into(X, self.n, self.members_at,
+                                               self.first)
+                if replab.ext_dim(X, self.members[k], i))
+
+    def rigidity_witness(self, X):
+        return next(self._into(X), None)
+
+    def ext_into(self, X):
+        return next(self._into(X), None) is not None
+
+    def ext_from(self, X):
+        if self.tops_at is None:
+            # vertex -> (k, i) with the vertex a top of P_i(members[k]);
+            # rigidity read each member's resolution through degree
+            # n - 1, or raised ResolutionCapError, so none of these
+            # exceeds its cap
+            self.tops_at = {}
+            for k, Y in enumerate(self.members):
+                for i in range(1, self.n):
+                    for v in replab.resolution_tops(Y, i):
+                        self.tops_at.setdefault(v, []).append((k, i))
+        pairs = {kv for v in X.support() for kv in self.tops_at.get(v, ())}
+        return any(replab.ext_dim(self.members[k], X, i)
+                   for k, i in sorted(pairs))
+
+
+class _NodeExt:
+    """The reads of ``check_nct`` on the nodes of a knitted record:
+    membership by node, and Ext from the record's integer Hom table
+    (``_Record.ext1_form``), with no module built.
+
+    Ext is additive, so maximality needs only sum_i Ext^i(X, M) and sum_i
+    Ext^i(M, X) over 0 < i < n, and rigidity searches the (member,
+    degree) pairs in order only for a member X whose sum is non-zero:
+    every term is >= 0, and the first non-zero pair is the first witness
+    of the module check.
+    """
+
+    def __init__(self, record, members, indecs, n):
+        self.record, self.members, self.indecs, self.n = (
+            record, members, indecs, n)
+        self.contains = set(members).__contains__
+        self.dims = record.dims.__getitem__
+        self.projective = record.projective.__getitem__
+        self.injective = record.injective_node
+        self._hom_m = {}   # node W -> dim Hom(W, M)
+        self._dim_m = [sum(d) for d in zip(*map(self.dims, members))]
+        self._from = None
+
+    @classmethod
+    def of(cls, A, M, n, indecs):
+        """The reads on A's knitted record, or None where ``check_nct``
+        computes on modules: when no knitted record is at hand (given
+        ``indecs``, only one already kept on A is read, so folds are never
+        enumerated), when a member or an entry of ``indecs`` is no node of
+        it, matched by dimension vector as a knitted record has one node
+        per vector, when two members are one node, and when the modules'
+        resolutions would be read past ``RESOLUTION_CAP`` (degree n - 1
+        needs level n), where that path raises ``ResolutionCapError``."""
+        if n > replab.RESOLUTION_CAP:
+            return None
+        record = (arquiver._complete_enumeration(A) if indecs is None
+                  else replab._memo_get(A, "enumeration"))
+        if record is None or not record.knitted:
+            return None
+        members = _nodes_of(record, A, M.modules)
+        if members is None or len(set(members)) != len(members):
+            return None
+        nodes = (range(len(record.dims)) if indecs is None
+                 else _nodes_of(record, A, indecs))
+        return None if nodes is None else cls(record, members, nodes, n)
+
+    def _degrees(self, counts):
+        """The sum of Omega^(i-1) of ``counts`` over 0 < i < n."""
+        total = dict(counts)
+        for _ in range(self.n - 2):
+            counts = self.record.shift(counts)
+            for z, c in counts.items():
+                total[z] = total.get(z, 0) + c
+        return total
+
+    def _hom_into_m(self, w):
+        h = self._hom_m.get(w)
+        if h is None:
+            row = self.record.hom(w)
+            h = self._hom_m[w] = sum(row.get(y, 0) for y in self.members)
+        return h
+
+    def ext_into(self, x):
+        a, t = self.record.ext1_form(self._degrees({x: 1}))
+        return (sum(m * self._hom_into_m(w) for w, m in a.items())
+                - sum(s * self._dim_m[v] for v, s in t.items())) > 0
+
+    def rigidity_witness(self, x):
+        if not self.ext_into(x):
+            return None
+        return next((k, i) for k, y in enumerate(self.members)
+                    for i in range(1, self.n) if self.record.ext(x, y, i))
+
+    def ext_from(self, x):
+        if self._from is None:
+            # sum_i Ext^i(M, -) as one form; its Hom part read off the
+            # rows as one column per node
+            a, t = self.record.ext1_form(
+                self._degrees({y: 1 for y in self.members}))
+            column = {}
+            for w, m in a.items():
+                for z, h in self.record.hom(w).items():
+                    column[z] = column.get(z, 0) + m * h
+            self._from = column, t
+        column, t = self._from
+        dx = self.dims(x)
+        return column.get(x, 0) - sum(s * dx[v] for v, s in t.items()) > 0
+
+
+def _nodes_of(record, A, modules):
+    """The node of each module of A on a knitted record, by dimension
+    vector; None if one is no node or belongs to another algebra object,
+    whose vertices may come in another order."""
+    out = []
+    for X in modules:
+        bucket = record.buckets.get(X.dim_vector())
+        if bucket is None or X.algebra is not A:
+            return None
+        out.append(bucket[0])
+    return out
 
 
 def _side_class(A, fr, side):

@@ -9,7 +9,7 @@ from hypothesis import settings
 from arglue import fracture as fx
 from arglue import linalg, replab
 from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
-                         linear_a, nakayama)
+                         linear_a, nakayama, starlike)
 from arglue.gluing import GluingSpec, glue
 
 # the same examples on every run: a failure found once is found again;
@@ -94,6 +94,41 @@ def knit_corpus():
             + [nakayama(random_acyclic_series(rng)) for _ in range(12)]
             + [nakayama(KupischSeries(s, cyclic=True))
                for s in ([2, 2, 3, 3, 3, 3, 2], [3, 2, 3, 2, 2, 2, 3, 4])])
+
+
+def criterion_04_corpus():
+    """Random acyclic Nakayama algebras, starlike algebras and Nakayama
+    algebras glued to a linear chain, before criterion 04 keeps the
+    directed ones with at most 12 vertices."""
+    rng = random.Random(99)
+    corpus = [nakayama(random_acyclic_series(rng, lmax=10, dmax=4))
+              for _ in range(25)]
+    shapes = [[(3, "out")], [(4, "out")], [(5, "in")], [(6, "out")],
+              [(7, "in")],
+              [(4, "out"), (4, "out"), (3, "in")],
+              [(4, "in"), (4, "in"), (3, "out")],
+              [(3, "out"), (3, "out"), (3, "in")],
+              [(3, "in"), (3, "in"), (3, "out")],
+              [(2, "out"), (2, "out"), (2, "in"), (2, "in")],
+              [(3, "out"), (3, "out"), (3, "in"), (3, "in")],
+              [(4, "out"), (3, "in"), (2, "in")],
+              [(2, "in"), (2, "in"), (2, "out")],
+              [(3, "out"), (3, "out"), (2, "in")],
+              [(2, "out"), (2, "out"), (2, "in")],
+              [(5, "out"), (5, "out"), (4, "in")]]
+    corpus += [starlike(sh) for sh in shapes]
+    corpus += [glued_nakayama(rng) for _ in range(14)]
+    return corpus
+
+
+def glued_nakayama(rng, lmax=5, dmax=4):
+    """A random acyclic Nakayama algebra with a linear chain glued into a
+    randomly chosen maximal left abutment."""
+    A = nakayama(random_acyclic_series(rng, lmax=lmax, dmax=dmax))
+    P = rng.choice([ab for ab in fx.abutments(A, "left") if ab.maximal])
+    H = linear_a(P.height)
+    I = next(ab for ab in fx.abutments(H, "right") if ab.height == P.height)
+    return glue(GluingSpec(A, P, H, I)).presentation
 
 
 def kronecker():

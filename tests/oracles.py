@@ -1,8 +1,8 @@
 """Module-by-module computations that the enumeration record replaced,
 kept as the tests' references: each recomputes from the modules what
-``arquiver``'s record and ``verifier``'s table walks read off.  The
-randomized isomorphism test that ``replab.is_isomorphic`` replaced is
-kept the same way.
+``arquiver``'s record, its integer Hom table and ``verifier``'s table
+walks read off.  The randomized isomorphism test that
+``replab.is_isomorphic`` replaced is kept the same way.
 """
 
 import random
@@ -191,3 +191,41 @@ def eager_levels(M, depth):
         levels.append(([v for v, _ in gens], pathmat))
         K, E = K2, E2
     return levels
+
+
+def module_directedness(A):
+    """``arquiver.is_representation_directed`` with the Hom digraph taken
+    from ``hom_dim`` between the node modules on every record, as it was
+    before knitted records read their Hom table: only the pairs where the
+    second module is non-zero at a top of the first are computed."""
+    try:
+        reps = arquiver._complete_enumeration(A).modules()
+    except (arquiver.EnumerationError, replab.DecompositionError) as e:
+        return False, {"reason": str(e)}
+    n = len(reps)
+    at = {}  # vertex -> indices of the modules non-zero there
+    for j, rep in enumerate(reps):
+        for v in rep.support():
+            at.setdefault(v, []).append(j)
+    adj = {i: [] for i in range(n)}
+    indeg = {i: 0 for i in range(n)}
+    for i in range(n):
+        # Hom(reps[i], N) = 0 unless N is non-zero at a top of reps[i]
+        tops = replab.resolution_tops(reps[i], 0)
+        for j in sorted({j for v in tops for j in at.get(v, ())}):
+            if i != j and replab.hom_dim(reps[i], reps[j]):
+                adj[i].append(j)
+                indeg[j] += 1
+    queue = [i for i in range(n) if indeg[i] == 0]
+    topo = []
+    while queue:
+        i = queue.pop()
+        topo.append(i)
+        for j in adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if len(topo) == n:
+        return True, {"order": topo, "count": n}
+    return False, {"reason": "Hom digraph has a cycle",
+                   "cycle_members": [i for i in range(n) if indeg[i] > 0]}

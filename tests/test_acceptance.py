@@ -23,9 +23,9 @@ from arglue.selfglue import (orbit_indecomposables, self_glue_witness,
 from arglue.verifier import (Subcategory, check_fractured, check_nct,
                              generate_sinks_sources, starlike_classify,
                              starlike_rep_finite, tau_orbit_candidate)
-from conftest import (branched_ten, chain_four, fold_fixture, left_ab,
-                      orbit_four_fixture, rad2_chain, random_acyclic_series,
-                      random_cyclic_series, right_ab)
+from conftest import (branched_ten, chain_four, criterion_04_corpus,
+                      fold_fixture, left_ab, orbit_four_fixture, rad2_chain,
+                      random_acyclic_series, random_cyclic_series, right_ab)
 
 
 def _stamp(number, name, t0):
@@ -107,31 +107,8 @@ def test_criterion_03_kupisch_pipeline():
 
 def test_criterion_04_oracle_equivalence_on_directed_corpus():
     t0 = time.time()
-    rng = random.Random(99)
-    corpus = [nakayama(random_acyclic_series(rng, lmax=10, dmax=4))
-              for _ in range(25)]
-    shapes = [[(3, "out")], [(4, "out")], [(5, "in")], [(6, "out")],
-              [(7, "in")],
-              [(4, "out"), (4, "out"), (3, "in")],
-              [(4, "in"), (4, "in"), (3, "out")],
-              [(3, "out"), (3, "out"), (3, "in")],
-              [(3, "in"), (3, "in"), (3, "out")],
-              [(2, "out"), (2, "out"), (2, "in"), (2, "in")],
-              [(3, "out"), (3, "out"), (3, "in"), (3, "in")],
-              [(4, "out"), (3, "in"), (2, "in")],
-              [(2, "in"), (2, "in"), (2, "out")],
-              [(3, "out"), (3, "out"), (2, "in")],
-              [(2, "out"), (2, "out"), (2, "in")],
-              [(5, "out"), (5, "out"), (4, "in")]]
-    corpus += [starlike(sh) for sh in shapes]
-    for _ in range(14):
-        A = nakayama(random_acyclic_series(rng, lmax=5, dmax=4))
-        P = rng.choice([ab for ab in fx.abutments(A, "left") if ab.maximal])
-        H = linear_a(P.height)
-        I = next(ab for ab in fx.abutments(H, "right")
-                 if ab.height == P.height)
-        corpus.append(glue(GluingSpec(A, P, H, I)).presentation)
-    corpus = [A for A in corpus if len(A.quiver.vertices) <= 12
+    corpus = [A for A in criterion_04_corpus()
+              if len(A.quiver.vertices) <= 12
               and arquiver.is_representation_directed(A)[0]]
     assert len(corpus) >= 50
     for A in corpus:

@@ -6,11 +6,11 @@ import pytest
 from arglue import arquiver, replab, verifier
 from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
                          linear_a, nakayama, starlike)
-from conftest import (branched_ten, chain_four, knit_corpus, kronecker,
-                      orbit_four_fixture, rad2_chain, random_cyclic_series,
-                      rebased)
-from oracles import (eager_levels, radical_arrows, randomized_is_isomorphic,
-                     translate_each)
+from conftest import (branched_ten, chain_four, criterion_04_corpus,
+                      knit_corpus, kronecker, not_directed, orbit_four_fixture,
+                      rad2_chain, random_cyclic_series, rebased)
+from oracles import (eager_levels, module_directedness, radical_arrows,
+                     randomized_is_isomorphic, translate_each)
 
 
 def test_indecomposable_counts():
@@ -223,6 +223,35 @@ def test_directedness_matches_all_pairs_hom_table():
     got = [arquiver.is_representation_directed(A) for A in corpus]
     assert got == [_all_pairs_directed(A) for A in corpus]
     assert sum(not ok for ok, _ in got) == 3  # the three cyclic quivers
+
+
+def test_directedness_from_hom_table_matches_module_loop(monkeypatch):
+    # three algebras that are not directed, on an enumerated record, an
+    # enumerated one with a cycle in its quiver and a cycle record
+    corpus = [not_directed(), orbit_four_fixture(),
+              nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2], cyclic=True))]
+    corpus += criterion_04_corpus() + [
+        verifier.generate_sinks_sources(s, t, n)[0]
+        for s, t, n in ((1, 1, 2), (2, 2, 2), (2, 3, 3), (3, 3, 3))]
+    want = [module_directedness(A) for A in corpus]
+    # a fresh copy of each algebra, so that no node module is at hand
+    fresh = [BoundQuiverPresentation(A.quiver, A.relations) for A in corpus]
+    calls = []
+    hom_dim = replab.hom_dim
+
+    def counted(M, N):
+        calls.append(M.algebra)
+        return hom_dim(M, N)
+
+    monkeypatch.setattr(replab, "hom_dim", counted)
+    assert [arquiver.is_representation_directed(A) for A in fresh] == want
+    knitted = [A for A in fresh
+               if arquiver._complete_enumeration(A).knitted]
+    assert [ok for ok, _ in want] == [False] * 3 + [True] * (len(corpus) - 3)
+    assert knitted == fresh[3:]
+    assert not any(A in calls for A in knitted)
+    assert all(set(arquiver._complete_enumeration(A).reps) == {None}
+               for A in knitted)
 
 
 def test_directedness_reuses_the_enumeration(monkeypatch):

@@ -1,15 +1,17 @@
 import json
+import random
 
 import pytest
 
 from arglue import arquiver
 from arglue import fracture as fx
-from arglue import replab
+from arglue import replab, verifier
 from arglue.core import KupischSeries, kupisch_of, nakayama, starlike
 from arglue.verifier import (Subcategory, VerificationReport,
                              check_fractured, check_nct,
                              generate_sinks_sources, starlike_classify,
                              starlike_rep_finite, tau_orbit_candidate)
+from conftest import glued_nakayama
 
 
 @pytest.fixture
@@ -221,3 +223,67 @@ def test_check_nct_matches_pairwise_ext_sweep():
         assert got.to_json() == want.to_json(), n
         verdicts.append(got.verdict)
     assert verdicts == [True] * 10 + [False] * 6
+
+
+def _table_sweep_cases():
+    """(algebra, subcategory, n): at each generator point with s, t <= 3
+    and at a Kupisch algebra and two glued Nakayama algebras, the
+    candidate, the candidate less its last and less its first
+    non-projective member, and the candidate plus the first node outside
+    it."""
+    points = [generate_sinks_sources(s, t, n) + (n,) for s in (1, 2, 3)
+              for t in (1, 2, 3) for n in (2, 3, 4)]
+    K = nakayama(KupischSeries([2, 2, 3, 3, 3, 3, 2, 1]))
+    G7, G8 = (glued_nakayama(random.Random(seed), lmax=9, dmax=4)
+              for seed in (7, 8))
+    points += [(B, tau_orbit_candidate(B, n), n)
+               for B, n in ((K, 3), (G7, 3), (G8, 2))]
+    for B, cand, n in points:
+        projective = {replab.projective(B, v).dim_vector()
+                      for v in B.quiver.vertices}
+        inner = [X for X in cand.modules
+                 if X.dim_vector() not in projective]
+        outside = next(X for X in arquiver.indecomposables(B)
+                       if not cand.contains(X))
+        yield B, cand, n
+        for drop in (inner[-1], inner[0]):
+            yield B, Subcategory(B, [X for X in cand.modules
+                                     if X is not drop], dedupe=False), n
+        yield B, Subcategory(B, cand.modules + [outside], dedupe=False), n
+
+
+def test_check_nct_on_knitted_tables_matches_pairwise_ext_sweep():
+    verdicts, square_zero = [], []
+    for A, M, n in _table_sweep_cases():
+        assert verifier._NodeExt.of(A, M, n, None) is not None
+        got = check_nct(A, M, n)
+        want = _pairwise_check_nct(A, M, n, arquiver.indecomposables(A))
+        assert got.to_json() == want.to_json(), n
+        verdicts.append(got.verdict)
+        square_zero.append(arquiver._complete_enumeration(A)._square_zero())
+    assert verdicts == [True, False, False, False] * 30
+    # the Kupisch and glued algebras read Omega from the record's syzygy
+    # table, the generator's from the radical-square-zero closed form
+    assert square_zero == [True] * 108 + [False] * 12
+
+
+def test_check_nct_on_knitted_record_builds_no_module(monkeypatch):
+    L, M = generate_sinks_sources(3, 3, 3)
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("ext_dim", "resolution_tops", "projective", "injective",
+                 "is_isomorphic"):
+        counted(replab, name)
+    counted(arquiver, "indecomposables")
+    assert check_nct(L, M, 3).verdict
+    assert calls == []
+    record = replab._memo_get(L, "enumeration")
+    assert record.knitted and set(record.reps) == {None}
