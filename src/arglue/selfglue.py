@@ -3,8 +3,8 @@
 Identifying a left-abutment tail of an algebra with one of its right-
 abutment tails folds the quiver into a (usually cyclic) quotient.  The
 finite "windows" of the associated infinite unfolding let us enumerate
-the indecomposables of the quotient by pushing down window modules and
-deduplicating modulo the deck shift.
+the indecomposables of the quotient: one window node per shift orbit,
+found from the window's dimension vectors, is pushed down.
 """
 
 from . import arquiver, linalg, replab, verifier
@@ -227,10 +227,6 @@ def cover_window(A, witness, k):
     return CoverWindow(A, witness, k, L, period_v, period_a)
 
 
-def _window_copies(M, win):
-    return {win.period_vertices[v][0] for v in M.dim}
-
-
 def _push_down_window(M, win, sg):
     """Push a window module down to the folded algebra."""
     L = sg.presentation
@@ -247,13 +243,43 @@ def _push_down_window(M, win, sg):
     return _assemble(L, pieces_v, pieces_a)
 
 
+def _orbit_keys(record, win):
+    """{key: first node of that key} over the nodes of a window's record
+    whose support lies in copies strictly between -k and k, in node
+    order; the key is the dimension vector over (copy - lowest copy,
+    original vertex)."""
+    k = win.k
+    places = [win.period_vertices[v]
+              for v in win.presentation.quiver.vertices]
+    kept = {}
+    for i, dv in enumerate(record.dims):
+        support = [(places[p], d) for p, d in enumerate(dv) if d]
+        copies = [c for (c, _), _ in support]
+        low = min(copies)
+        if -k < low and max(copies) < k:
+            key = frozenset(((c - low, v), d) for (c, v), d in support)
+            kept.setdefault(key, i)
+    return kept
+
+
 def orbit_indecomposables(A, witness, sg=None):
     """Indecomposables of the fold, enumerated through cover windows.
 
-    Window modules clear of the boundary copies push down to modules of
-    the fold; growing the window until two consecutive sizes agree (up
-    to isomorphism) certifies that every shift orbit has been seen.
-    Nakayama folds are served by the uniserial enumeration directly.
+    Window k glues 2k+1 copies of A into a piece of the fold's Z-cover.
+    Its record is read in integers: each node clear of the boundary
+    copies is keyed by its dimension vector over (copy - lowest copy,
+    original vertex), and the first node of each key is kept.  The window
+    is representation-directed, so a node is fixed by its dimension
+    vector (Happel-Ringel), and two nodes share a key exactly when one is
+    a shift of the other.  Push-down along the Galois covering sends the
+    shift orbits of the cover's indecomposables one-to-one onto the
+    fold's indecomposables (Gabriel, The universal cover of a
+    representation-finite algebra, LNM 903, 1981; Bongartz-Gabriel,
+    Covering spaces in representation theory, Invent. Math. 65, 1982).
+    So every orbit has been seen once window k has the key set of window
+    k - 1, and only then are the kept nodes of window k built and pushed
+    down, in node order.  Nakayama folds are served by the uniserial
+    enumeration directly.
     """
     if sg is None:
         sg = tilde(A, witness)
@@ -265,15 +291,13 @@ def orbit_indecomposables(A, witness, sg=None):
     previous = None
     for k in range(FIRST_WINDOW, LAST_WINDOW + 1):
         win = cover_window(A, witness, k)
-        reps = arquiver.indecomposables(win.presentation, cap=WINDOW_CAP)
-        index = arquiver._IsoIndex(
-            _push_down_window(M, win, sg) for M in reps
-            if all(-k < c < k for c in _window_copies(M, win)))
-        found = index.reps
-        if (previous is not None and len(found) == len(previous.reps)
-                and all(previous.find(M) is not None for M in found)):
-            return found
-        previous = index
+        record = arquiver._complete_enumeration(win.presentation,
+                                                cap=WINDOW_CAP)
+        kept = _orbit_keys(record, win)
+        if previous is not None and kept.keys() == previous:
+            return [_push_down_window(record.module(i), win, sg)
+                    for i in kept.values()]
+        previous = kept.keys()
     raise arquiver.EnumerationError(
         f"window growth did not stabilize by k={LAST_WINDOW}")
 

@@ -273,7 +273,7 @@ class _NodeExt:
         self.dims = record.dims.__getitem__
         self.projective = record.projective.__getitem__
         self.injective = record.injective_node
-        self._hom_m = {}   # node W -> dim Hom(W, M)
+        self._hom_m = None   # per node W, dim Hom(W, M)
         self._dim_m = [sum(d) for d in zip(*map(self.dims, members))]
         self._from = None
 
@@ -309,16 +309,35 @@ class _NodeExt:
                 total[z] = total.get(z, 0) + c
         return total
 
-    def _hom_into_m(self, w):
-        h = self._hom_m.get(w)
-        if h is None:
-            row = self.record.hom(w)
-            h = self._hom_m[w] = sum(row.get(y, 0) for y in self.members)
-        return h
+    def _hom_into_m(self):
+        """Per node X, dim Hom(X, M), as one column.
+
+        An AR sequence 0 -> X -> E -> tau^- X -> 0 gives the exact
+        sequence 0 -> Hom(tau^- X, Y) -> Hom(E, Y) -> Hom(X, Y) whose
+        cokernel is the simple functor at X, and X -> X / soc X does the
+        same without the tau^- term at an injective X; so in reverse knit
+        order c(X) = sum over X -> E of m c(E) - c(tau^- X) + [X in M],
+        the dual of the hammock recursion of ``_Record.hom``."""
+        if self._hom_m is None:
+            record = self.record
+            into, _ = record._arrow_lists()
+            column = [0] * len(record.dims)
+            for y in self.members:
+                column[y] = 1
+            for x in sorted(range(len(column)), key=record.rank.__getitem__,
+                            reverse=True):
+                t = record.tau_minus[x]
+                if t is not None:
+                    column[x] -= column[t]
+                for w, m in into[x]:
+                    column[w] += m * column[x]
+            self._hom_m = column
+        return self._hom_m
 
     def ext_into(self, x):
         a, t = self.record.ext1_form(self._degrees({x: 1}))
-        return (sum(m * self._hom_into_m(w) for w, m in a.items())
+        column = self._hom_into_m()
+        return (sum(m * column[w] for w, m in a.items())
                 - sum(s * self._dim_m[v] for v, s in t.items())) > 0
 
     def rigidity_witness(self, x):

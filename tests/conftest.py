@@ -11,6 +11,7 @@ from arglue import linalg, replab
 from arglue.core import (BoundQuiverPresentation, KupischSeries, Quiver,
                          linear_a, nakayama, starlike)
 from arglue.gluing import GluingSpec, glue
+from arglue.selfglue import simultaneous_glue
 
 # the same examples on every run: a failure found once is found again;
 # each test keeps its own max_examples
@@ -129,6 +130,30 @@ def glued_nakayama(rng, lmax=5, dmax=4):
     H = linear_a(P.height)
     I = next(ab for ab in fx.abutments(H, "right") if ab.height == P.height)
     return glue(GluingSpec(A, P, H, I)).presentation
+
+
+def glued_star(rng):
+    """A three-ray starlike algebra with random ray lengths, one of whose
+    maximal left abutments, chosen at random, is glued to the first right
+    abutment of the same height of a random acyclic Nakayama algebra; None
+    when the Nakayama algebra has no right abutment of that height."""
+    N = nakayama(random_acyclic_series(rng, lmax=6, dmax=4))
+    S = starlike([(rng.randint(2, 4), "out"), (rng.randint(2, 4), "out"),
+                  (rng.randint(2, 4), "in")])
+    P = rng.choice([ab for ab in fx.abutments(S, "left") if ab.maximal])
+    I = next((ab for ab in fx.abutments(N, "right")
+              if ab.height == P.height), None)
+    return None if I is None else glue(GluingSpec(S, P, N, I)).presentation
+
+
+def double_gluing():
+    """Criterion 11's 16-vertex double gluing of two opposite three-ray
+    stars along the height-1 abutments at 4_1 and 4_2."""
+    SA = starlike([(4, "out"), (4, "out"), (3, "in")])
+    SB = starlike([(4, "in"), (4, "in"), (3, "out")])
+    pairs = [(left_ab(SA, a, height=1), right_ab(SB, a, height=1))
+             for a in ("4_1", "4_2")]
+    return simultaneous_glue(SA, SB, pairs, mode="parallel").presentation
 
 
 def kronecker():

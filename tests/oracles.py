@@ -8,7 +8,7 @@ walks read off.  The randomized isomorphism test that
 import random
 from fractions import Fraction
 
-from arglue import arquiver, linalg, replab
+from arglue import arquiver, linalg, replab, selfglue
 from arglue.verifier import Subcategory
 
 
@@ -229,3 +229,27 @@ def module_directedness(A):
         return True, {"order": topo, "count": n}
     return False, {"reason": "Hom digraph has a cycle",
                    "cycle_members": [i for i in range(n) if indeg[i] > 0]}
+
+
+def module_orbit_indecomposables(A, witness, sg):
+    """``selfglue.orbit_indecomposables`` off a Nakayama fold as it was
+    before the windows were read from their records: every module of
+    cover windows k = 2, 3, ... is built, those clear of the boundary
+    copies are pushed down and deduplicated up to isomorphism, and the
+    loop stops when two consecutive windows agree up to isomorphism.
+    Returns (the push-downs of the last window, its k)."""
+    previous = None
+    for k in range(selfglue.FIRST_WINDOW, selfglue.LAST_WINDOW + 1):
+        win = selfglue.cover_window(A, witness, k)
+        reps = arquiver.indecomposables(win.presentation,
+                                        cap=selfglue.WINDOW_CAP)
+        index = arquiver._IsoIndex(
+            selfglue._push_down_window(M, win, sg) for M in reps
+            if all(-k < win.period_vertices[v][0] < k for v in M.dim))
+        found = index.reps
+        if (previous is not None and len(found) == len(previous.reps)
+                and all(previous.find(M) is not None for M in found)):
+            return found, k
+        previous = index
+    raise arquiver.EnumerationError(
+        f"window growth did not stabilize by k={selfglue.LAST_WINDOW}")

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from arglue import arquiver
+from arglue import arquiver, selfglue
 from arglue import fracture as fx
 from arglue import replab
 from arglue.core import (AlgebraError, KupischSeries, kupisch_of, linear_a,
@@ -11,7 +13,9 @@ from arglue.selfglue import (SelfGlueWitness, cover_window,
                              orbit_indecomposables, self_glue_witness,
                              simultaneous_glue, tilde, tilde_nct)
 from arglue.verifier import Subcategory, check_fractured, tau_orbit_candidate
-from conftest import branched_ten, chain_four, fold_fixture, left_ab, right_ab
+from conftest import (branched_ten, chain_four, double_gluing, fold_fixture,
+                      glued_star, left_ab, right_ab)
+from oracles import module_orbit_indecomposables
 
 FOLD_SUPPORTS = [{"6", "7", "8"}, {"7"}, {"6", "7"}, {"2p", "6"}, {"5", "6"},
                  {"2p", "5", "6"}, {"4", "5"}, {"1p", "2p"}, {"3", "4", "5"},
@@ -95,6 +99,84 @@ def test_fold_cover_window_and_orbit(fold):
     assert len(orb) == 18
 
 
+def _non_nakayama_folds():
+    """(algebra, witness, fold): the fold fixture with its fracturing,
+    which is also criterion 07's figure fold, criterion 11's double
+    gluing, and the glued stars of seeds 0-11, each with the trivial
+    fracturing; every witness has disjoint seam tails and a fold that is
+    not Nakayama."""
+    A = fold_fixture()
+    cases = [(A, self_glue_witness(A, fold_fracturing(A))[0])]
+    algebras = [double_gluing()]
+    algebras += [glued_star(random.Random(seed)) for seed in range(12)]
+    for B in algebras:
+        cases.append((B, self_glue_witness(B, fx.trivial_fracturing(B))[0]))
+    for B, wit in cases:
+        assert wit is not None and not set(wit.P.tail) & set(wit.I.tail)
+        sg = tilde(B, wit)
+        with pytest.raises(AlgebraError):
+            kupisch_of(sg.presentation)
+        yield B, wit, sg
+
+
+def test_orbit_indecomposables_match_the_module_window_loop(monkeypatch):
+    windows = []
+    original = selfglue.cover_window
+
+    def recorded(A, witness, k):
+        windows.append(k)
+        return original(A, witness, k)
+
+    monkeypatch.setattr(selfglue, "cover_window", recorded)
+    sizes = []
+    for A, wit, sg in _non_nakayama_folds():
+        windows.clear()
+        got = orbit_indecomposables(A, wit, sg=sg)
+        want, k = module_orbit_indecomposables(A, wit, sg)
+        assert windows[-1] == k
+        assert len(got) == len(want)
+        for X, Y in zip(got, want):
+            assert X.dim == Y.dim and X.mats == Y.mats
+        sizes.append(len(got))
+    assert len(sizes) == 14
+    assert sizes[:2] == [18, 33]
+
+
+def test_orbit_indecomposables_build_only_the_certifying_window(
+        monkeypatch):
+    """On the double gluing no module is tested for isomorphism, and only
+    the certifying window's record builds node modules."""
+    D = double_gluing()
+    wit, _ = self_glue_witness(D, fx.trivial_fracturing(D))
+    sg = tilde(D, wit)
+    windows, built, iso = [], [], []
+    cover_window_, module_ = selfglue.cover_window, arquiver._Record.module
+    is_isomorphic_ = replab.is_isomorphic
+
+    def recorded_window(A, witness, k):
+        windows.append(cover_window_(A, witness, k))
+        return windows[-1]
+
+    def counted_module(record, i):
+        if record.reps[i] is None:
+            built.append(record)
+        return module_(record, i)
+
+    def counted_iso(M, N):
+        iso.append((M, N))
+        return is_isomorphic_(M, N)
+
+    monkeypatch.setattr(selfglue, "cover_window", recorded_window)
+    monkeypatch.setattr(arquiver._Record, "module", counted_module)
+    monkeypatch.setattr(replab, "is_isomorphic", counted_iso)
+    assert len(orbit_indecomposables(D, wit, sg=sg)) == 33
+    assert iso == []
+    records = [replab._memo_get(win.presentation, "enumeration")
+               for win in windows]
+    assert len(records) >= 2 and all(r.knitted for r in records)
+    assert built and {id(r) for r in built} == {id(records[-1])}
+
+
 def test_fold_tilde_subcategory(fold):
     A, ind = fold
     wit, _ = self_glue_witness(A, fold_fracturing(A))
@@ -144,13 +226,7 @@ def test_simultaneous_single_pair_equals_plain_glue():
 
 
 def test_simultaneous_double_gluing_of_stars():
-    SA = starlike([(4, "out"), (4, "out"), (3, "in")])
-    SB = starlike([(4, "in"), (4, "in"), (3, "out")])
-    pairs = []
-    for anchor in ("4_1", "4_2"):
-        pairs.append((left_ab(SA, anchor, height=1),
-                      right_ab(SB, anchor, height=1)))
-    D = simultaneous_glue(SA, SB, pairs, mode="parallel").presentation
+    D = double_gluing()
     assert len(D.quiver.vertices) == 16
     assert all(len(r) == 2 for r in D.relations)
     assert len(arquiver.indecomposables(D)) == 34

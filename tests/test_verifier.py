@@ -11,7 +11,7 @@ from arglue.verifier import (Subcategory, VerificationReport,
                              check_fractured, check_nct,
                              generate_sinks_sources, starlike_classify,
                              starlike_rep_finite, tau_orbit_candidate)
-from conftest import glued_nakayama
+from conftest import criterion_04_corpus, glued_nakayama
 
 
 @pytest.fixture
@@ -265,6 +265,32 @@ def test_check_nct_on_knitted_tables_matches_pairwise_ext_sweep():
     # the Kupisch and glued algebras read Omega from the record's syzygy
     # table, the generator's from the radical-square-zero closed form
     assert square_zero == [True] * 108 + [False] * 12
+
+
+def test_hom_into_members_column_matches_the_hom_rows():
+    # the column filled in reverse knit order, against the sum of each
+    # node's Hom row over the members: the orbit candidate, and every
+    # third node, on the knitted records of criterion 04's directed
+    # corpus at n = 2 and of the generator at s, t <= 3 and n = 2..4
+    cases = [(A, tau_orbit_candidate(A, 2)) for A in criterion_04_corpus()
+             if len(A.quiver.vertices) <= 12
+             and arquiver.is_representation_directed(A)[0]
+             and arquiver._complete_enumeration(A).knitted]
+    cases += [generate_sinks_sources(s, t, n) for s in (1, 2, 3)
+              for t in (1, 2, 3) for n in (2, 3, 4)]
+    values = 0
+    for A, M in cases:
+        record = arquiver._complete_enumeration(A)
+        assert record.knitted
+        nodes = range(len(record.dims))
+        candidate = verifier._nodes_of(record, A, M.modules)
+        for members in (candidate, list(nodes[::3])):
+            reads = verifier._NodeExt(record, members, nodes, 2)
+            column = reads._hom_into_m()
+            assert column == [sum(record.hom(w).get(y, 0) for y in members)
+                              for w in nodes]
+            values += len(column)
+    assert len(cases) == 55 + 27 and values == 3474
 
 
 def test_check_nct_on_knitted_record_builds_no_module(monkeypatch):
