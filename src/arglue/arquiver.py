@@ -31,12 +31,24 @@ v's arrow, and the irreducible maps are M(v, l + 1) -> M(v, l) and
 M(v+, l - 1) -> M(v, l) (Elements Vol. 1, V.4).
 
 The record also serves per-node tables, each entry a list of node
-indices: the summands of Omega and of Omega^- (off a cycle filled the
-first time they are read, Omega^- from the cover that translating the
-node already built; on a cycle written down with the record), and tau,
-the inverse of the tau-minus record.  As Omega^-, Omega, tau^- and tau
-are additive, tau_n^- of a node is tau^- summand by summand after n - 1
-steps of Omega^-, and tau_n likewise from Omega and tau.
+indices: the summands of Omega and of Omega^-, and tau, the inverse of
+the tau-minus record.  On a cycle the (co)syzygy tables are written down
+with the record.  On a knitted record of a Nakayama quiver (at most one
+arrow into and one out of each vertex) every indecomposable X is
+uniserial, so Omega X = ker(P(top X) -> X) and Omega^- X = I(soc X) / X
+are uniserial or zero (Elements Vol. 1, V.3-V.4): each entry is the one
+node of dim P(top X) - dim X or dim I(soc X) - dim X, read from the
+integer tables below with no module built.  Every other record fills an
+entry the first time it is read, from the module (Omega^- from the cover
+that translating the node already built) through ``decompose``.  As
+Omega^-, Omega, tau^- and tau are additive, tau_n^- of a node is tau^-
+summand by summand after n - 1 steps of Omega^-, and tau_n likewise from
+Omega and tau.
+
+``indecomposables`` returns a ``NodeList``, a list of node modules held
+as node indices, whose modules are built only when an element is read;
+the orbit candidate's members are one too, so the checks read node
+indices where they are handed such a list.
 
 A knitted record also answers dim Hom and dim Ext between nodes in
 integers, with no module built.  Each AR sequence tau Z -> E -> Z gives
@@ -52,6 +64,7 @@ the modules.
 """
 
 import heapq
+from collections.abc import Sequence
 
 from . import replab
 
@@ -104,6 +117,51 @@ class ARData:
 
     def node_count(self):
         return len(self.nodes)
+
+
+class NodeList(Sequence):
+    """Some of a record's nodes (``nodes``, node indices), read as the list
+    of their modules: an element's module is built (``record.module``)
+    only when it is read.  It acts as a list for reading (``len``,
+    indexing and slicing, iteration, ``+`` with a list on either side,
+    ``==`` against a list) and holds its own copy of the indices, so
+    ``clear`` and ``pop`` change no other list."""
+
+    def __init__(self, record, nodes):
+        self.record = record
+        self.nodes = list(nodes)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.record.module(i) for i in self.nodes[k]]
+        return self.record.module(self.nodes[k])
+
+    def __iter__(self):
+        return map(self.record.module, self.nodes)
+
+    def __add__(self, other):
+        if not isinstance(other, (list, NodeList)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + list(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, NodeList)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def clear(self):
+        self.nodes.clear()
+
+    def pop(self, k=-1):
+        return self.record.module(self.nodes.pop(k))
 
 
 class _IsoIndex:
@@ -171,8 +229,9 @@ class _Record(_IsoIndex):
         self._quiver = None  # knitted: (arrows into, arrows out of) a node
         self._tops = {}      # knitted: node -> its top
         self._simples = None
-        self._injectives = None
+        self._injectives = {}   # vertex -> node of I(v)
         self._rad_square_zero = None
+        self._nakayama = None
 
     def add(self, rep):
         self.dims.append(rep.dim_vector())
@@ -195,7 +254,7 @@ class _Record(_IsoIndex):
                 self.reps[j] = replab.projective(self.algebra, vertex)
                 continue
             omega, self.reps[j] = replab.cosyzygy_and_translate(self.reps[t])
-            if t not in self._syzygies["-"]:
+            if t not in self._syzygies["-"] and not self._uniserial():
                 self.cosyzygy[t] = omega
         return self.reps[i]
 
@@ -228,8 +287,15 @@ class _Record(_IsoIndex):
         node of its dimension vector, or else the one found up to
         isomorphism.  A complete record holds rep's class, so a bucket of
         one node needs no test."""
-        bucket = self.buckets.get(rep.dim_vector(), ())
-        i = bucket[0] if len(bucket) == 1 else self.find(rep)
+        return self.node_of(rep.dim_vector(), lambda: rep)
+
+    def node_of(self, dv, build):
+        """``locate`` for the indecomposable ``build()`` of dimension
+        vector dv, which is built only when dv has several nodes."""
+        bucket = self.buckets.get(dv, ())
+        if len(bucket) == 1:
+            return bucket[0]
+        i = self.find(build()) if bucket else None
         if i is None:
             raise EnumerationError("indecomposable left the enumerated set "
                                    "(bug)")
@@ -237,14 +303,48 @@ class _Record(_IsoIndex):
 
     def syzygy(self, i, direction):
         """Nodes of the summands of Omega (direction "+") or Omega^-
-        ("-") of node i, in ``decompose`` order."""
+        ("-") of node i, in ``decompose`` order: in closed form on a
+        knitted Nakayama record (``_uniserial_syzygy``), else read off the
+        module."""
         table = self._syzygies[direction]
         if i not in table:
+            if self._uniserial():
+                table[i] = self._uniserial_syzygy(i, direction)
+                return table[i]
             rep = self.cosyzygy.pop(i, None) if direction == "-" else None
             if rep is None:
                 rep = replab.syzygy(self.module(i), direction, 1)
             table[i] = [self.locate(part) for part in replab.decompose(rep)]
         return table[i]
+
+    def _uniserial(self):
+        """Knitted, on a quiver with at most one arrow into and one arrow
+        out of each vertex, so every indecomposable is uniserial."""
+        if self._nakayama is None:
+            q = self.algebra.quiver
+            self._nakayama = self.knitted and all(
+                len(q.inc[v]) <= 1 and len(q.out[v]) <= 1 for v in q.vertices)
+        return self._nakayama
+
+    def _uniserial_syzygy(self, x, direction):
+        """The (co)syzygy table entry of the uniserial node x.
+
+        Omega X = ker(P(top X) -> X) = rad^l P(top X) for l the length of
+        X, and Omega^- X = I(soc X) / X; both are uniserial or zero
+        (Elements Vol. 1, V.3-V.4), so the entry is the one node of dim
+        P(top X) - dim X, or of dim I(soc X) - dim X, and empty where that
+        vector is zero, as it is at a P(v) and at an I(v).  top X is read
+        from ``top``, soc X as the S(w) with Hom(S(w), X) != 0."""
+        vertices = self.algebra.quiver.vertices
+        if direction == "+":
+            (v,) = self.top(x)
+            end = self.projective[vertices[v]]
+        else:
+            v = next(v for v, s in enumerate(self._simple_nodes())
+                     if x in self.hom(s))
+            end = self.injective_node(vertices[v])
+        dv = tuple(e - d for e, d in zip(self.dims[end], self.dims[x]))
+        return [self.buckets[dv][0]] if any(dv) else []
 
     def tau_n(self, nodes, n, direction):
         """Nodes of the summands of tau_n^- (direction "-") or tau_n
@@ -345,14 +445,17 @@ class _Record(_IsoIndex):
         return top
 
     def injective_node(self, v):
-        """The node of I(v) on a knitted record: dim I(v) at w counts the
-        paths w -> v, as dim P(w) at v does."""
-        if self._injectives is None:
-            vertices = self.algebra.quiver.vertices
-            cartan = [self.dims[self.projective[w]] for w in vertices]
-            self._injectives = {v: self.buckets[column][0] for v, column in
-                                zip(vertices, zip(*cartan))}
-        return self._injectives[v]
+        """The node of I(v): dim I(v) at w counts the paths w -> v, as dim
+        P(w) at v does, so on a knitted record it is the node of that
+        vector; kept once read."""
+        i = self._injectives.get(v)
+        if i is None:
+            at = self.algebra.quiver.vertex_pos[v]
+            column = tuple(self.dims[self.projective[w]][at]
+                           for w in self.algebra.quiver.vertices)
+            i = self._injectives[v] = self.node_of(
+                column, lambda: replab.injective(self.algebra, v))
+        return i
 
     def omega(self, x):
         """{node: multiplicity} of the summands of Omega of node x.
@@ -678,7 +781,10 @@ def _complete_enumeration(A, cap=ENUMERATION_CAP):
 
 
 def indecomposables(A, cap=ENUMERATION_CAP):
-    return _complete_enumeration(A, cap).modules()
+    """A's indecomposables in node order, as a fresh ``NodeList`` of its
+    record: a module is built only when its element is read."""
+    record = _complete_enumeration(A, cap)
+    return NodeList(record, range(len(record.dims)))
 
 
 def _knit(A, record):

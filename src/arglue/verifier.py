@@ -10,19 +10,35 @@ from .core import AlgebraError, starlike
 
 class Subcategory:
     """Additive closure of a finite list of pairwise non-isomorphic
-    indecomposables, stored by chosen representatives."""
+    indecomposables, stored by chosen representatives.
+
+    Given an ``arquiver.NodeList`` (the orbit candidate's members, or
+    ``indecomposables``), the members are record nodes: ``modules`` is a
+    copy of that list, deduplicated by node, and ``locate`` matches rep to
+    its node on the record (``_Record.match``), so no module is built
+    until one is read."""
 
     def __init__(self, algebra, modules, dedupe=True):
         self.algebra = algebra
-        self._index = arquiver._IsoIndex(modules, dedupe=dedupe)
-        self.modules = self._index.reps
+        self._index = self._at = None
+        if isinstance(modules, arquiver.NodeList):
+            nodes = dict.fromkeys(modules.nodes) if dedupe else modules.nodes
+            self.modules = arquiver.NodeList(modules.record, nodes)
+            self._at = {}   # node -> its first position in modules
+            for k, x in enumerate(self.modules.nodes):
+                self._at.setdefault(x, k)
+        else:
+            self._index = arquiver._IsoIndex(modules, dedupe=dedupe)
+            self.modules = self._index.reps
 
     def __len__(self):
         return len(self.modules)
 
     def locate(self, rep):
         """Index of the member isomorphic to rep, or None."""
-        return self._index.find(rep)
+        if self._index is not None:
+            return self._index.find(rep)
+        return self._at.get(self.modules.record.match(rep))
 
     def contains(self, rep):
         return self.locate(rep) is not None
@@ -81,7 +97,8 @@ def tau_orbit_candidate(A, n, cap=arquiver.ENUMERATION_CAP):
     The members are nodes of A's complete enumeration (EnumerationError
     when there is none within cap), found by walking the record's tables
     breadth-first from the sorted P(v); the new classes of one member's
-    translate are taken in the order the tables give them."""
+    translate are taken in the order the tables give them.  The members
+    are an ``arquiver.NodeList``: no module is built until one is read."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -96,7 +113,7 @@ def tau_orbit_candidate(A, n, cap=arquiver.ENUMERATION_CAP):
                if j not in members]
         out.extend(new)
         members.update(new)
-    return Subcategory(A, [record.module(i) for i in out], dedupe=False)
+    return Subcategory(A, arquiver.NodeList(record, out), dedupe=False)
 
 
 def _pairs_into(X, n, members_at, first):
@@ -365,7 +382,10 @@ class _NodeExt:
 def _nodes_of(record, A, modules):
     """The node of each module of A on a knitted record, by dimension
     vector; None if one is no node or belongs to another algebra object,
-    whose vertices may come in another order."""
+    whose vertices may come in another order.  A ``NodeList`` of the
+    record gives its node indices."""
+    if isinstance(modules, arquiver.NodeList) and modules.record is record:
+        return list(modules.nodes)
     out = []
     for X in modules:
         bucket = record.buckets.get(X.dim_vector())
@@ -375,19 +395,32 @@ def _nodes_of(record, A, modules):
     return out
 
 
-def _side_class(A, fr, side):
-    """Representatives of one side's comparison class: the projectives
-    (left side) or injectives (right side) at the vertices that anchor no
-    abutment of that side, plus the interval modules of its fractures."""
-    end = replab.projective if side == "left" else replab.injective
-    mods = [end(A, v) for v in sorted(A.quiver.vertices)
-            if fx.abutment_at(A, side, v) is None]
+def _side_class(record, fr, side):
+    """The nodes of one side's comparison class, in order and without
+    repeats: the projectives (left side) or injectives (right side) at the
+    vertices that anchor no abutment of that side, then the interval
+    modules of its fractures, each located on the record
+    (``_Record.node_of``) with no module built on a knitted one."""
+    A = record.algebra
+    vertices = [v for v in sorted(A.quiver.vertices)
+                if fx.abutment_at(A, side, v) is None]
+    if side == "left":
+        nodes = [record.projective[v] for v in vertices]
+    else:
+        nodes = [record.injective_node(v) for v in vertices]
     fractures, maxima = ((fr.left, fr.max_left) if side == "left"
                          else (fr.right, fr.max_right))
+    pos = A.quiver.vertex_pos
     for anchor, T in sorted(fractures.items()):
         tail = maxima[anchor].tail
-        mods += [fx.interval_module(A, tail, a, b) for a, b in T.intervals]
-    return Subcategory(A, mods)
+        for a, b in T.intervals:
+            dv = [0] * len(pos)
+            for v in tail[a - 1:b]:
+                dv[pos[v]] = 1
+            nodes.append(record.node_of(
+                tuple(dv),
+                lambda: fx.interval_module(A, tail, a, b)))
+    return list(dict.fromkeys(nodes))
 
 
 def check_fractured(A, fr, M, n):
@@ -395,95 +428,93 @@ def check_fractured(A, fr, M, n):
     conditions after a failing one are not checked, and only (a1) names
     more than its first witness.
 
-    The translates and (co)syzygies of the members are read from the
-    tables of A's complete enumeration (EnumerationError when there is
-    none); a member that is no node is matched to its node up to
-    isomorphism, and AlgebraError names a member that matches none, i.e.
-    one that is not indecomposable."""
+    The check runs on the nodes of A's complete enumeration
+    (EnumerationError when there is none): the members, the two side
+    classes, and the translates and (co)syzygies read from the record's
+    tables, with witnesses named by the record's dimension vectors.  A
+    member that is no node is matched to its node up to isomorphism, and
+    AlgebraError names a member that matches none, i.e. one that is not
+    indecomposable.  On a knitted Nakayama record given the orbit
+    candidate, no module is built."""
     if n < 2:
         raise ValueError("the fractured criterion needs n >= 2")
-    steps = _NodeSteps(arquiver._complete_enumeration(A), n)
-    handles = steps.handles(M.modules)
+    record = arquiver._complete_enumeration(A)
+    members = _members(record, M.modules)
+    dims = record.dims
+
+    def translate(x, direction):
+        # the one node of tau_n^{-/+} x, or None
+        return _single(record.tau_n([x], n, direction))
+
+    def inverts(t, x, direction):
+        return record.tau_n([t], n, direction) == [x]
+
     report = VerificationReport("fractured", n)
-    PL = _side_class(A, fr, "left")
-    IR = _side_class(A, fr, "right")
+    PL = _side_class(record, fr, "left")
+    IR = _side_class(record, fr, "right")
     # (a1) the projective-side class is contained in M
-    missing = [X for X in PL.modules if not M.contains(X)]
-    for X in missing:
-        report.witness("a1", "projective-side class member not in M", X)
+    in_m = set(members)
+    missing = [x for x in PL if x not in in_m]
+    for x in missing:
+        report.witness("a1", "projective-side class member not in M",
+                       dims[x])
     report.record("a1", not missing,
                   f"{len(missing)} missing" if missing else "")
     if missing:
         return report
-    SP = [(X, x) for X, x in zip(M.modules, handles) if not PL.contains(X)]
-    SI = [(X, x) for X, x in zip(M.modules, handles) if not IR.contains(X)]
+    in_pl, in_ir = set(PL), set(IR)
+    SP = [x for x in members if x not in in_pl]
+    SI = [x for x in members if x not in in_ir]
     # (a2) the translates give mutually inverse bijections SP <-> SI
-    in_si = steps.finder([y for _, y in SI])
-    in_sp = steps.finder([x for _, x in SP])
+    in_si = {y: j for j, y in enumerate(SI)}.get
+    in_sp = {x: j for j, x in enumerate(SP)}.get
     hit = set()
-    for X, x in SP:
-        t = steps.translate(x, "+")
+    for x in SP:
+        t = translate(x, "+")
         if t is None:
             return report.fail("a2", "forward translate zero or "
-                               "decomposable", X)
+                               "decomposable", dims[x])
         j = in_si(t)
-        if j is None or not steps.inverts(t, x, "-"):
+        if j is None or not inverts(t, x, "-"):
             return report.fail("a2", "forward translate leaves the target "
-                               "class or is not inverted", X)
+                               "class or is not inverted", dims[x])
         hit.add(j)
-    for j, (Y, y) in enumerate(SI):
+    for j, y in enumerate(SI):
         if j in hit:
             continue
-        t = steps.translate(y, "-")
-        if t is None or in_sp(t) is None or not steps.inverts(t, y, "+"):
-            return report.fail("a2", "backward translate fails", Y)
+        t = translate(y, "-")
+        if t is None or in_sp(t) is None or not inverts(t, y, "+"):
+            return report.fail("a2", "backward translate fails", dims[y])
     report.record("a2", True)
     # (a3)/(a4) intermediate (co)syzygies stay indecomposable
-    for name, direction, word, members in (
+    for name, direction, word, side in (
             ("a3", "+", "syzygy", SP), ("a4", "-", "cosyzygy", SI)):
-        for X, x in members:
+        for x in side:
+            y = x
             for i in range(1, n):
-                x = steps.syzygy(x, direction)
-                if x is None:
+                y = _single(record.syzygy(y, direction))
+                if y is None:
                     return report.fail(
-                        name, f"{word} {i} zero or decomposable", X)
+                        name, f"{word} {i} zero or decomposable", dims[x])
         report.record(name, True)
     return report
 
 
-class _NodeSteps:
-    """The steps of ``check_fractured`` on the nodes of a complete
-    enumeration, read from its record's tables: a translate or a
-    (co)syzygy gives the one node it yields, or None."""
-
-    def __init__(self, record, n):
-        self.record = record
-        self.n = n
-
-    def handles(self, modules):
-        """The node of each module (``_Record.match``); AlgebraError when
-        there is none, as the record holds every indecomposable."""
-        out = []
-        for X in modules:
-            i = self.record.match(X)
-            if i is None:
-                raise AlgebraError(
-                    f"member with dimension vector {list(X.dim_vector())}"
-                    " is not indecomposable")
-            out.append(i)
-        return out
-
-    def finder(self, nodes):
-        return {x: j for j, x in enumerate(nodes)}.get
-
-    def translate(self, x, direction):
-        return _single(self.record.tau_n([x], self.n, direction))
-
-    def inverts(self, t, x, direction):
-        return self.record.tau_n([t], self.n, direction) == [x]
-
-    def syzygy(self, x, direction):
-        return _single(self.record.syzygy(x, direction))
+def _members(record, modules):
+    """The node of each module (``_Record.match``), or a ``NodeList`` of
+    the record's own node indices; AlgebraError for a module that matches
+    no node, as the record holds every indecomposable."""
+    if isinstance(modules, arquiver.NodeList) and modules.record is record:
+        return list(modules.nodes)
+    out = []
+    for X in modules:
+        i = record.match(X)
+        if i is None:
+            raise AlgebraError(
+                f"member with dimension vector {list(X.dim_vector())}"
+                " is not indecomposable")
+        out.append(i)
+    return out
 
 
 def _single(nodes):

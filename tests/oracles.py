@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 
 from arglue import arquiver, linalg, replab, selfglue
-from arglue.verifier import Subcategory
+from arglue import fracture as fx
+from arglue.verifier import Subcategory, VerificationReport
 
 
 def randomized_is_isomorphic(M, N):
@@ -133,19 +134,12 @@ def _is_indecomposable(M):
 
 
 class ModuleSteps:
-    """The steps of ``check_fractured`` on modules: a translate or a
-    (co)syzygy gives the one indecomposable it yields, or None.  Patched
-    in for ``verifier._NodeSteps``, it makes the check compute and
-    decompose every translate and (co)syzygy itself."""
+    """The steps of ``module_check_fractured``: a translate or a
+    (co)syzygy of a module gives the one indecomposable it yields, or
+    None, each computed and decomposed from the module."""
 
-    def __init__(self, record, n):
+    def __init__(self, n):
         self.n = n
-
-    def handles(self, modules):
-        return modules
-
-    def finder(self, modules):
-        return arquiver._IsoIndex(modules, dedupe=False).find
 
     def translate(self, X, direction):
         T = replab.tau_n(X, self.n, direction)
@@ -159,6 +153,79 @@ class ModuleSteps:
     def syzygy(self, X, direction):
         S = replab.syzygy(X, direction, 1)
         return S if _is_indecomposable(S) else None
+
+
+def module_side_class(A, fr, side):
+    """Representatives of one side's comparison class, deduplicated up to
+    isomorphism: the projectives (left side) or injectives (right side) at
+    the vertices that anchor no abutment of that side, plus the interval
+    modules of its fractures."""
+    end = replab.projective if side == "left" else replab.injective
+    mods = [end(A, v) for v in sorted(A.quiver.vertices)
+            if fx.abutment_at(A, side, v) is None]
+    fractures, maxima = ((fr.left, fr.max_left) if side == "left"
+                         else (fr.right, fr.max_right))
+    for anchor, T in sorted(fractures.items()):
+        tail = maxima[anchor].tail
+        mods += [fx.interval_module(A, tail, a, b) for a, b in T.intervals]
+    return Subcategory(A, mods)
+
+
+def module_check_fractured(A, fr, M, n):
+    """``verifier.check_fractured`` on modules, as it was before the check
+    ran on record nodes: the side classes and membership up to
+    isomorphism, and every translate and (co)syzygy computed and
+    decomposed (``ModuleSteps``).  Members are taken as given, so a
+    decomposable one raises no error here."""
+    if n < 2:
+        raise ValueError("the fractured criterion needs n >= 2")
+    steps = ModuleSteps(n)
+    report = VerificationReport("fractured", n)
+    PL = module_side_class(A, fr, "left")
+    IR = module_side_class(A, fr, "right")
+    # (a1) the projective-side class is contained in M
+    missing = [X for X in PL.modules if not M.contains(X)]
+    for X in missing:
+        report.witness("a1", "projective-side class member not in M", X)
+    report.record("a1", not missing,
+                  f"{len(missing)} missing" if missing else "")
+    if missing:
+        return report
+    SP = [X for X in M.modules if not PL.contains(X)]
+    SI = [X for X in M.modules if not IR.contains(X)]
+    # (a2) the translates give mutually inverse bijections SP <-> SI
+    in_si = arquiver._IsoIndex(SI, dedupe=False).find
+    in_sp = arquiver._IsoIndex(SP, dedupe=False).find
+    hit = set()
+    for X in SP:
+        t = steps.translate(X, "+")
+        if t is None:
+            return report.fail("a2", "forward translate zero or "
+                               "decomposable", X)
+        j = in_si(t)
+        if j is None or not steps.inverts(t, X, "-"):
+            return report.fail("a2", "forward translate leaves the target "
+                               "class or is not inverted", X)
+        hit.add(j)
+    for j, Y in enumerate(SI):
+        if j in hit:
+            continue
+        t = steps.translate(Y, "-")
+        if t is None or in_sp(t) is None or not steps.inverts(t, Y, "+"):
+            return report.fail("a2", "backward translate fails", Y)
+    report.record("a2", True)
+    # (a3)/(a4) intermediate (co)syzygies stay indecomposable
+    for name, direction, word, side in (
+            ("a3", "+", "syzygy", SP), ("a4", "-", "cosyzygy", SI)):
+        for X in side:
+            Y = X
+            for i in range(1, n):
+                Y = steps.syzygy(Y, direction)
+                if Y is None:
+                    return report.fail(
+                        name, f"{word} {i} zero or decomposable", X)
+        report.record(name, True)
+    return report
 
 
 def eager_levels(M, depth):

@@ -3,8 +3,8 @@ replace, and the memo that keeps one record per algebra.
 
 The oracle computes and decomposes every translate and (co)syzygy
 itself: ``oracles.loop_candidate`` builds the orbit candidate member by
-member, and ``oracles.ModuleSteps``, patched in for
-``verifier._NodeSteps``, runs the fractured check on modules.
+member, and ``oracles.module_check_fractured`` runs the fractured check
+on modules.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from arglue import arquiver, replab, verifier
+from arglue import arquiver, replab
 from arglue import fracture as fx
 from arglue.core import (AlgebraError, KupischSeries, linear_a, nakayama,
                          starlike)
@@ -21,7 +21,7 @@ from arglue.gluing import GluingSpec, glue
 from arglue.verifier import (Subcategory, check_fractured, check_nct,
                              starlike_rep_finite, tau_orbit_candidate)
 from conftest import not_directed, random_cyclic_series
-from oracles import ModuleSteps, loop_candidate
+from oracles import loop_candidate, module_check_fractured
 
 
 def _starlike_shapes():
@@ -65,7 +65,7 @@ def _outcome(fn):
         return type(e).__name__, str(e)
 
 
-def _compare(monkeypatch, A, levels, fractured=False, cap=4096):
+def _compare(A, levels, fractured=False, cap=4096):
     """Candidates and reports by the loop, then from the tables; both must
     agree, and from the tables every member is a node of the record.
     With ``fractured`` the fractured criterion is checked too, for the
@@ -77,20 +77,18 @@ def _compare(monkeypatch, A, levels, fractured=False, cap=4096):
     for n in levels:
         got = {}
         for tables in (False, True):
-            with monkeypatch.context() as mp:
-                if not tables:
-                    mp.setattr(verifier, "_NodeSteps", ModuleSteps)
-                candidate = tau_orbit_candidate if tables else loop_candidate
+            candidate = tau_orbit_candidate if tables else loop_candidate
+            fractured_check = (check_fractured if tables
+                               else module_check_fractured)
 
-                def run():
-                    M = candidate(A, n, cap=cap)
-                    reports = [check_nct(A, M, n, indecs=ind).to_json()]
-                    if fractured:
-                        reports.append(
-                            check_fractured(A, fr, M, n).to_json())
-                    return M, reports
+            def run():
+                M = candidate(A, n, cap=cap)
+                reports = [check_nct(A, M, n, indecs=ind).to_json()]
+                if fractured:
+                    reports.append(fractured_check(A, fr, M, n).to_json())
+                return M, reports
 
-                got[tables] = _outcome(run)
+            got[tables] = _outcome(run)
         if isinstance(got[False][0], str):
             assert got[True] == got[False], n
             continue
@@ -100,30 +98,29 @@ def _compare(monkeypatch, A, levels, fractured=False, cap=4096):
         assert all(id(X) in nodes for X in table.modules)
 
 
-def test_starlike_candidates_and_reports_match_the_loop(monkeypatch):
+def test_starlike_candidates_and_reports_match_the_loop():
     shapes = _starlike_shapes()
     assert len(shapes) == 253
     for rays in shapes:
-        _compare(monkeypatch, starlike(rays), range(2, 6), fractured=True,
+        _compare(starlike(rays), range(2, 6), fractured=True,
                  cap=1024)
 
 
-def test_glued_nakayama_candidates_and_fractured_reports_match(monkeypatch):
+def test_glued_nakayama_candidates_and_fractured_reports_match():
     rng = random.Random(20260823)
     verdicts = set()
     for length in range(4, 13):
         for _ in range(2):
             G = _glued_nakayama(_random_series(rng, length),
                                 rng.randrange(1 << 16))
-            _compare(monkeypatch, G, range(2, 5), fractured=True)
+            _compare(G, range(2, 5), fractured=True)
             verdicts.add(check_fractured(
                 G, fx.trivial_fracturing(G), tau_orbit_candidate(G, 2),
                 2).verdict)
     assert verdicts == {True, False}
 
 
-def test_translate_with_several_new_summands_keeps_decompose_order(
-        monkeypatch):
+def test_translate_with_several_new_summands_keeps_decompose_order():
     # tau_2^- of one member has two summands that are not yet members:
     # the table path orders them as decompose orders the translate
     rays = [(2, "in"), (3, "in"), (7, "in")]
@@ -136,7 +133,7 @@ def test_translate_with_several_new_summands_keeps_decompose_order(
         several = several or len(new) > 1
         members |= new
     assert several
-    _compare(monkeypatch, starlike(rays), [2])
+    _compare(starlike(rays), [2])
 
 
 def test_candidate_reads_only_the_record(monkeypatch):
@@ -152,7 +149,7 @@ def test_candidate_reads_only_the_record(monkeypatch):
     assert all(record.position(X) is not None for X in M.modules)
 
 
-def test_cyclic_nakayama_candidates_and_reports_match_the_loop(monkeypatch):
+def test_cyclic_nakayama_candidates_and_reports_match_the_loop():
     # the closed-form tables never decompose, so where the loop meets a
     # translate that is not a brick it fails and the tables still answer;
     # the fractured oracle decomposes every step, so it runs on bricks
@@ -169,7 +166,7 @@ def test_cyclic_nakayama_candidates_and_reports_match_the_loop(monkeypatch):
                 assert loop[0] == "DecompositionError"
                 tau_orbit_candidate(A, n)
             else:
-                _compare(monkeypatch, A, [n], fractured=brick)
+                _compare(A, [n], fractured=brick)
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
@@ -187,11 +184,11 @@ def test_cyclic_tables_match_the_modules():
                 assert all(replab.is_isomorphic(S, X) for X in got)
 
 
-def test_complete_but_not_directed_algebra_matches_the_loop(monkeypatch):
+def test_complete_but_not_directed_algebra_matches_the_loop():
     A = not_directed()
     assert len(arquiver.indecomposables(A)) == 31
     assert not arquiver.is_representation_directed(A)[0]
-    _compare(monkeypatch, A, range(2, 5), fractured=True)
+    _compare(A, range(2, 5), fractured=True)
 
 
 def test_fractured_members_that_are_not_nodes_give_the_same_report():
@@ -284,3 +281,94 @@ def test_ar_quiver_and_indecomposables_share_one_enumeration(monkeypatch):
     tau_orbit_candidate(A, 2)
     arquiver.indecomposables(B)
     assert len(calls) == 2 and calls[0] is A and calls[1] is B
+
+
+# -- Nakayama records: closed-form tables and no module on the check path --
+
+def test_nakayama_syzygy_tables_match_the_modules():
+    # a knitted Nakayama record writes its (co)syzygy tables in closed
+    # form; the module-built tables name the same nodes in the same order
+    rng = random.Random(20260823)
+    algebras = [nakayama(KupischSeries(
+        _random_series(rng, rng.randint(2, 16)))) for _ in range(150)]
+    algebras += [_glued_nakayama(_random_series(rng, length),
+                                 rng.randrange(1 << 16))
+                 for length in range(4, 13) for _ in range(2)]
+    tables = 0
+    for A in algebras:
+        record = arquiver._complete_enumeration(A)
+        assert record._uniserial()
+        for i, rep in enumerate(record.modules()):
+            for direction in "+-":
+                want = [record.locate(part) for part in replab.decompose(
+                    replab.syzygy(rep, direction, 1))]
+                assert record.syzygy(i, direction) == want, (A, i)
+                tables += 1
+    assert tables > 5000
+
+
+def test_glued_nakayama_check_path_builds_no_module(monkeypatch):
+    G = _glued_nakayama([2, 2, 2, 2, 1], 0)
+    fr = fx.trivial_fracturing(G)
+    calls = []
+    for name in ("cosyzygy_and_translate", "is_isomorphic"):
+        def counted(*args, _name=name, _fn=getattr(replab, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(replab, name, counted)
+    ind = arquiver.indecomposables(G)
+    verdicts = []
+    for n in range(2, 5):
+        M = tau_orbit_candidate(G, n)
+        verdicts.append((check_nct(G, M, n, indecs=ind).verdict,
+                         check_fractured(G, fr, M, n).verdict))
+    assert verdicts == [(True, True), (False, False), (True, True)]
+    assert arquiver._complete_enumeration(G).reps == [None] * len(ind)
+    assert calls == []
+
+
+def test_node_lists_act_as_lists_of_the_node_modules():
+    A = linear_a(4)
+    reps = [node.rep for node in arquiver.ar_quiver(A).nodes]
+    ind = arquiver.indecomposables(A)
+    assert isinstance(ind, arquiver.NodeList) and len(ind) == 10
+    assert all(X is Y for X, Y in zip(ind, reps))
+    assert ind[0] is reps[0] and ind[-1] is reps[-1] and ind[-4] is reps[-4]
+    assert ind[2:5] == reps[2:5] and ind[::-2] == reps[::-2]
+    assert type(ind[1:3]) is list
+    assert ind == reps and reps == ind and ind != reps[:-1]
+    assert ind + reps[:1] == reps + reps[:1]
+    assert reps[:1] + ind == reps[:1] + reps
+    assert ind + ind == reps + reps
+    assert reps[3] in ind and ind.index(reps[3]) == 3
+    # every call gives a fresh list, which clear and pop change alone
+    other = arquiver.indecomposables(A)
+    assert other is not ind and other == ind
+    assert ind.pop() is reps[-1] and ind.pop(0) is reps[0]
+    assert ind == reps[1:-1] and len(other) == 10
+    ind.clear()
+    assert ind == [] and len(other) == 10
+
+
+def test_subcategories_of_nodes_locate_by_node():
+    A = linear_a(4)
+    record = arquiver._complete_enumeration(A)
+    for n in (1, 2):
+        M = tau_orbit_candidate(A, n)
+        assert isinstance(M.modules, arquiver.NodeList)
+        assert M.modules.record is record
+        for k, X in enumerate(M.modules):
+            copy = replab.rep_from_json(A, replab.rep_to_json(X))
+            assert M.locate(X) == k and M.locate(copy) == k
+    M = tau_orbit_candidate(A, 2)
+    outside = next(X for X in arquiver.indecomposables(A)
+                   if X not in M.modules)
+    assert not M.contains(outside)
+    # a repeated node is dropped by dedupe, else found at its first place
+    twice = arquiver.NodeList(record, [3, 1, 3])
+    assert Subcategory(A, twice).modules.nodes == [3, 1]
+    kept = Subcategory(A, twice, dedupe=False)
+    assert len(kept) == 3 and kept.locate(record.module(3)) == 0
+    # the subcategory holds its own copy of the node list
+    twice.clear()
+    assert len(kept) == 3
