@@ -6,6 +6,7 @@ One pipeline per invocation; compose runs through files.  Exit codes:
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -518,7 +519,10 @@ def _common(p, n=False):
         p.add_argument("-n", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every
+    ``run`` of the process (parsing leaves it unchanged)."""
     parser = _Parser(prog="arglue")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,7 +3,8 @@ glued fracturings, and gluing systems over finite directed trees."""
 
 from . import fracture as fx
 from . import replab, arquiver
-from .core import AlgebraError, BoundQuiverPresentation, Quiver
+from .core import (AlgebraError, BoundQuiverPresentation, Quiver,
+                   rename_presentation)
 
 
 class GluingSpec:
@@ -43,16 +44,10 @@ def _tail_arrows(A, tail):
     return out
 
 
-def identify_seams(A, B, seams):
-    """Identify abutment tails of A with tails of B and kill the paths
-    that cross each seam; ``B=None`` glues A to itself.
-
-    ``seams`` lists (dropped, kept) pairs of opposite sides: the tail of
-    ``dropped``, an abutment of A, and its arrow chain are mapped onto the
-    tail of ``kept``, an abutment of B (of A when B is None).  Tails within
-    one algebra must be disjoint.  B-side names win; A's other vertices
-    and arrows get an ``@A`` suffix where B already uses the name.
-    """
+def _seams(A, B, seams):
+    """The seam identification of :func:`identify_seams` read off the
+    ``.quiver`` and ``.relations`` of A and B alone: returns (quiver,
+    relation list, vertex map of A, of B, arrow map of A, of B)."""
     K = A if B is None else B   # the algebra whose tails are kept
     vertices = [] if B is None else list(B.quiver.vertices)
     arrows = [] if B is None else list(B.quiver.arrows)
@@ -98,8 +93,21 @@ def identify_seams(A, B, seams):
                       for g_in in entries for g_out in exits]
     vmapB = {} if B is None else {v: v for v in B.quiver.vertices}
     amapB = {} if B is None else {a: a for a, _, _ in B.quiver.arrows}
-    pres = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
-    return GluedAlgebra(pres, vmapA, vmapB, amapA, amapB)
+    return Quiver(vertices, arrows), relations, vmapA, vmapB, amapA, amapB
+
+
+def identify_seams(A, B, seams):
+    """Identify abutment tails of A with tails of B and kill the paths
+    that cross each seam; ``B=None`` glues A to itself.
+
+    ``seams`` lists (dropped, kept) pairs of opposite sides: the tail of
+    ``dropped``, an abutment of A, and its arrow chain are mapped onto the
+    tail of ``kept``, an abutment of B (of A when B is None).  Tails within
+    one algebra must be disjoint.  B-side names win; A's other vertices
+    and arrows get an ``@A`` suffix where B already uses the name.
+    """
+    quiver, relations, *maps = _seams(A, B, seams)
+    return GluedAlgebra(BoundQuiverPresentation(quiver, relations), *maps)
 
 
 def glue(spec):
@@ -282,7 +290,7 @@ class GluingSystemSpec:
                 raise AlgebraError(
                     f"edge {u}->{v} pairs abutments of different heights")
             self.edge_data[(u, v)] = (I, P)
-        for w in tv:
+        for w in self.tree_vertices:
             incoming = [self.edge_data[(u, v)][1]
                         for u, v, _, _ in self.tree_arrows if v == w]
             outgoing = [self.edge_data[(u, v)][0]
@@ -303,38 +311,65 @@ class GluingSystemSpec:
 
 
 class _Component:
-    def __init__(self, tv, algebra, prefix):
-        vmap = {v: f"{prefix}{v}" for v in algebra.quiver.vertices}
-        amap = {a: f"{prefix}{a}" for a, _, _ in algebra.quiver.arrows}
-        if prefix:
-            from .core import rename_presentation
-            algebra = rename_presentation(algebra, vmap, amap)
-        self.members = {tv}
-        self.algebra = algebra
-        self.vmaps = {tv: vmap}
-        self.amaps = {tv: amap}
+    """Tree vertices glued so far: a bare quiver and relation list (no
+    presentation) with, per member, the maps from original names."""
+
+    def __init__(self, members, quiver, relations, vmaps, amaps):
+        self.members = members
+        self.quiver = quiver
+        self.relations = relations
+        self.vmaps = vmaps
+        self.amaps = amaps
 
 
-def _fold(sys, edges, prefix_fn):
-    comps = {tv: _Component(tv, sys.algebras[tv], prefix_fn(tv))
-             for tv in sys.tree_vertices}
-    for u, v, i_anchor, p_anchor in edges:
+def _block(tv, algebra):
+    """The algebra at tree vertex tv with names prefixed by ``tv:``."""
+    vmap = {v: f"{tv}:{v}" for v in algebra.quiver.vertices}
+    amap = {a: f"{tv}:{a}" for a, _, _ in algebra.quiver.arrows}
+    quiver = Quiver(list(vmap.values()),
+                    [(amap[a], vmap[s], vmap[t])
+                     for a, s, t in algebra.quiver.arrows])
+    relations = [tuple(amap[a] for a in r) for r in algebra.relations]
+    return _Component({tv}, quiver, relations, {tv: vmap}, {tv: amap})
+
+
+def _moved(ab, vmap):
+    return fx.Abutment(ab.side, vmap[ab.anchor], [vmap[v] for v in ab.tail])
+
+
+def _fold(sys, edges):
+    """Glue the blocks along ``edges`` in that order, in one pass.
+
+    Each edge identifies the tails of its (I, P) from ``sys.edge_data``,
+    renamed through the component maps, with the core of
+    :func:`identify_seams` on bare components: no intermediate
+    presentation, abutment table or opposite algebra is built.  Looking
+    the abutments up on the merged component would give the same ones:
+    ``_validate`` makes the incoming P's at each tree vertex pairwise
+    disjoint, and the outgoing I's too, a seam changes only the in-arrows
+    of I.tail[0] and the out-arrows of P.tail[-1], and a crossing
+    relation spans two blocks.  Entry and exit arrows are read from the
+    merged quiver of the step, where a P anchored at an outgoing
+    I.tail[0] may have gained in-arrows.  As a crossing relation spans
+    two components, a relation-free path of a component stays
+    relation-free in the final algebra, so admissibility is checked
+    once, on the final presentation.
+    """
+    comps = {tv: _block(tv, sys.algebras[tv]) for tv in sys.tree_vertices}
+    for u, v, _, _ in edges:
         cu, cv = comps[u], comps[v]
-        I = fx.abutment_at(cu.algebra, "right", cu.vmaps[u][i_anchor])
-        P = fx.abutment_at(cv.algebra, "left", cv.vmaps[v][p_anchor])
-        glued = glue(GluingSpec(cv.algebra, P, cu.algebra, I))
-        merged = _Component.__new__(_Component)
-        merged.members = cu.members | cv.members
-        merged.algebra = glued.presentation
-        merged.vmaps = {}
-        merged.amaps = {}
+        I, P = sys.edge_data[(u, v)]
+        quiver, relations, vmapA, vmapB, amapA, amapB = _seams(
+            cv, cu, [(_moved(P, cv.vmaps[v]), _moved(I, cu.vmaps[u]))])
+        merged = _Component(cu.members | cv.members, quiver, relations,
+                            {}, {})
         # tree-vertex order, not set order, so that the maps' key order
         # does not follow string hashing
         for tv in sys.tree_vertices:
             if tv in cu.members:
-                c, vmap, amap = cu, glued.vertex_map_B, glued.arrow_map_B
+                c, vmap, amap = cu, vmapB, amapB
             elif tv in cv.members:
-                c, vmap, amap = cv, glued.vertex_map_A, glued.arrow_map_A
+                c, vmap, amap = cv, vmapA, amapA
             else:
                 continue
             merged.vmaps[tv] = {orig: vmap[cur]
@@ -353,17 +388,21 @@ def glue_system(sys, check_orders=True):
     """Fold the gluings of the tree; asserts order-independence on small trees.
 
     Returns (presentation, vmaps, amaps) where the maps take (tree vertex,
-    original name) to the final name.
+    original name) to the final name.  The fold runs in one pass over the
+    edges in sorted order (see ``_fold``) and builds one presentation;
+    ``check_orders`` folds the reversed order too and compares.  A tree
+    of one vertex returns its algebra itself with identity maps.
     """
-    multi = len(sys.tree_vertices) > 1
-
-    def prefix(tv):
-        return f"{tv}:" if multi else ""
-
+    if not sys.tree_arrows:
+        tv, = sys.tree_vertices
+        A = sys.algebras[tv]
+        return (A, {tv: {v: v for v in A.quiver.vertices}},
+                {tv: {a: a for a, _, _ in A.quiver.arrows}})
     edges = sorted(sys.tree_arrows)
-    result = _fold(sys, edges, prefix)
+    result = _fold(sys, edges)
+    L = BoundQuiverPresentation(result.quiver, result.relations)
     if check_orders and 1 < len(edges) <= 8:
-        other = _fold(sys, list(reversed(edges)), prefix)
+        other = _fold(sys, list(reversed(edges)))
         rename = {}
         for tv in sys.tree_vertices:
             for orig, cur in other.vmaps[tv].items():
@@ -372,12 +411,10 @@ def glue_system(sys, check_orders=True):
         for tv in sys.tree_vertices:
             for orig, cur in other.amaps[tv].items():
                 arename[cur] = result.amaps[tv][orig]
-        from .core import rename_presentation
-        relabeled = rename_presentation(other.algebra, rename, arename)
-        if relabeled != result.algebra:
+        if rename_presentation(other, rename, arename) != L:
             raise AlgebraError(
                 "gluing fold is order-dependent (violates the tree identity)")
-    return result.algebra, result.vmaps, result.amaps
+    return L, result.vmaps, result.amaps
 
 
 def push_forward_system(M, tv, L, vmaps, amaps):

@@ -2,7 +2,8 @@
 kept as the tests' references: each recomputes from the modules what
 ``arquiver``'s record, its integer Hom table and ``verifier``'s table
 walks read off.  The randomized isomorphism test that
-``replab.is_isomorphic`` replaced is kept the same way.
+``replab.is_isomorphic`` replaced is kept the same way, and so is the
+per-edge fold of a gluing system that ``gluing.glue_system`` replaced.
 """
 
 import random
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 from arglue import arquiver, linalg, replab, selfglue
 from arglue import fracture as fx
+from arglue.core import AlgebraError, rename_presentation
+from arglue.gluing import GluingSpec, glue
 from arglue.verifier import Subcategory, VerificationReport
 
 
@@ -320,3 +323,77 @@ def module_orbit_indecomposables(A, witness, sg):
         previous = index
     raise arquiver.EnumerationError(
         f"window growth did not stabilize by k={selfglue.LAST_WINDOW}")
+
+
+class _EdgeComponent:
+    def __init__(self, tv, algebra, prefix):
+        vmap = {v: f"{prefix}{v}" for v in algebra.quiver.vertices}
+        amap = {a: f"{prefix}{a}" for a, _, _ in algebra.quiver.arrows}
+        if prefix:
+            algebra = rename_presentation(algebra, vmap, amap)
+        self.members = {tv}
+        self.algebra = algebra
+        self.vmaps = {tv: vmap}
+        self.amaps = {tv: amap}
+
+
+def _per_edge_fold(sys, edges, prefix_fn):
+    comps = {tv: _EdgeComponent(tv, sys.algebras[tv], prefix_fn(tv))
+             for tv in sys.tree_vertices}
+    for u, v, i_anchor, p_anchor in edges:
+        cu, cv = comps[u], comps[v]
+        I = fx.abutment_at(cu.algebra, "right", cu.vmaps[u][i_anchor])
+        P = fx.abutment_at(cv.algebra, "left", cv.vmaps[v][p_anchor])
+        glued = glue(GluingSpec(cv.algebra, P, cu.algebra, I))
+        merged = _EdgeComponent.__new__(_EdgeComponent)
+        merged.members = cu.members | cv.members
+        merged.algebra = glued.presentation
+        merged.vmaps = {}
+        merged.amaps = {}
+        for tv in sys.tree_vertices:
+            if tv in cu.members:
+                c, vmap, amap = cu, glued.vertex_map_B, glued.arrow_map_B
+            elif tv in cv.members:
+                c, vmap, amap = cv, glued.vertex_map_A, glued.arrow_map_A
+            else:
+                continue
+            merged.vmaps[tv] = {orig: vmap[cur]
+                                for orig, cur in c.vmaps[tv].items()}
+            merged.amaps[tv] = {orig: amap[cur]
+                                for orig, cur in c.amaps[tv].items()}
+        for tv in merged.members:
+            comps[tv] = merged
+    final = comps[sys.tree_vertices[0]]
+    if final.members != set(sys.tree_vertices):
+        raise AlgebraError("fold did not connect the whole tree (bug)")
+    return final
+
+
+def per_edge_glue_system(sys, check_orders=True):
+    """``gluing.glue_system`` as it was before the one-pass fold: each
+    tree vertex's block is renamed into its own presentation, and each
+    edge glues two presentations into a new one, looking its abutments
+    up on the merged algebras (``fx.abutment_at``) and checking them
+    through ``GluingSpec``."""
+    multi = len(sys.tree_vertices) > 1
+
+    def prefix(tv):
+        return f"{tv}:" if multi else ""
+
+    edges = sorted(sys.tree_arrows)
+    result = _per_edge_fold(sys, edges, prefix)
+    if check_orders and 1 < len(edges) <= 8:
+        other = _per_edge_fold(sys, list(reversed(edges)), prefix)
+        rename = {}
+        for tv in sys.tree_vertices:
+            for orig, cur in other.vmaps[tv].items():
+                rename[cur] = result.vmaps[tv][orig]
+        arename = {}
+        for tv in sys.tree_vertices:
+            for orig, cur in other.amaps[tv].items():
+                arename[cur] = result.amaps[tv][orig]
+        relabeled = rename_presentation(other.algebra, rename, arename)
+        if relabeled != result.algebra:
+            raise AlgebraError(
+                "gluing fold is order-dependent (violates the tree identity)")
+    return result.algebra, result.vmaps, result.amaps

@@ -105,6 +105,27 @@ def test_bad_arguments_are_input_errors():
                 "-n", "2"])[0] == 3
 
 
+def test_run_reuses_one_parser(capsys):
+    argvs = [["starlike", "--arms", "5:out,5:out,4:in", "classify",
+              "-n", "4"],
+             ["starlike", "--arms", "5:out,5:out,4:in", "classify", "-n"]]
+
+    def outcome(argv):
+        code, report = run(argv)
+        out = capsys.readouterr()
+        return code, report and report.data, out.out, out.err
+
+    shared = [outcome(argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert shared[0][0] == 0 and shared[1][:2] == (3, None)
+    assert shared[1][3] == "input error: argument -n: expected one argument\n"
+
+
 def test_check_nct_modules_with_unknown_names_is_input_error(tmp_path,
                                                             capsys):
     alg = tmp_path / "a3.json"
